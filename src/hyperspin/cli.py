@@ -32,6 +32,7 @@ import numpy as np
 from .braid import apply_generator, apply_word, format_word
 from .gf2 import HomologyClass, SpinMatrix, arf, evaluate, intersection
 from .normalform import (
+    ReductionInvariantError,
     canonical_form,
     class_index,
     fixed_point_matrix,
@@ -590,6 +591,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (ReductionInvariantError, SelfCheckError) as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

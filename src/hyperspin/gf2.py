@@ -30,7 +30,7 @@ def _parity(x: int) -> int:
 
 
 def _bits_to_text(bits: int, g: int) -> str:
-    return "".join("1" if (bits >> k) & 1 else "0" for k in range(g))
+    return format(bits, f"0{g}b")[::-1]
 
 
 def _text_to_bits(text: str) -> int:
@@ -188,14 +188,6 @@ class SpinMatrix:
     def from_key(cls, g: int, key: int) -> "SpinMatrix":
         mask = (1 << g) - 1
         return cls(g, key & mask, (key >> g) & mask)
-
-
-def parse_matrix(text: str) -> SpinMatrix:
-    return SpinMatrix.from_text(text)
-
-
-def format_matrix(matrix: SpinMatrix) -> str:
-    return matrix.to_text()
 
 
 def intersection(x: HomologyClass, y: HomologyClass) -> int:

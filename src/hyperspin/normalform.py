@@ -45,6 +45,11 @@ class ReductionInvariantError(RuntimeError):
     """A reduction step did not have its intended effect."""
 
 
+def _alternating_bottom(i: int) -> int:
+    """Bottom row 1,0,1,...,0,1 of the width-(2i-1) block: bits 0, 2, ..., 2i-2."""
+    return ((1 << 2 * i) - 1) // 3
+
+
 def alternating_block(i: int) -> SpinMatrix:
     """The 2 x (2i-1) block: all-ones top row, bottom row 1,0,1,...,0,1.
 
@@ -54,9 +59,7 @@ def alternating_block(i: int) -> SpinMatrix:
     if i < 1:
         raise ValueError(f"block index must be >= 1, got {i}")
     width = 2 * i - 1
-    top = (1 << width) - 1
-    bottom = sum(1 << k for k in range(0, width, 2))
-    return SpinMatrix(width, top, bottom)
+    return SpinMatrix(width, (1 << width) - 1, _alternating_bottom(i))
 
 
 def _max_class(g: int) -> int:
@@ -80,11 +83,19 @@ def canonical_form(g: int, m: int) -> SpinMatrix:
 
 
 def classify_canonical(matrix: SpinMatrix) -> int | None:
-    """The class index if the matrix is exactly a representative, else None."""
-    for m in range(_max_class(matrix.g) + 1):
-        if matrix == canonical_form(matrix.g, m):
-            return m
-    return None
+    """The class index if the matrix is exactly a representative, else None.
+
+    The class-m form has top row 2^(2m-1) - 1, so the top's bit length w is
+    odd (or 0 for m = 0) and fixes m = (w+1)/2; the bottom row must then be
+    the block's alternating row.
+    """
+    w = matrix.top.bit_length()
+    if w & 1 == 0 and w:
+        return None
+    m = (w + 1) // 2
+    if matrix.top != (1 << w) - 1 or matrix.bottom != _alternating_bottom(m):
+        return None
+    return m
 
 
 def _concat(blocks: list[tuple[int, int, int]], g: int) -> SpinMatrix:
@@ -274,14 +285,21 @@ class ReductionTrace:
         return "\n".join(step.to_text() for step in self.steps)
 
 
-def _column_kinds(g: int, top: int, bottom: int) -> list[tuple[int, int]]:
+def _column_kinds(top: int, bottom: int) -> list[tuple[int, int]]:
     """Nonzero columns as (position, pattern), left to right."""
     out = []
-    for k in range(1, g + 1):
-        pattern = ((top >> (k - 1)) & 1) | (((bottom >> (k - 1)) & 1) << 1)
-        if pattern:
-            out.append((k, pattern))
+    occupied = top | bottom
+    while occupied:
+        low = occupied & -occupied
+        pattern = (_TOP if top & low else 0) | (_BOT if bottom & low else 0)
+        out.append((low.bit_length(), pattern))
+        occupied ^= low
     return out
+
+
+def _window(lo: int, hi: int) -> int:
+    """Bit mask of columns lo..hi; lo = hi + 1 gives the empty mask."""
+    return ((1 << hi) - 1) ^ ((1 << (lo - 1)) - 1)
 
 
 class _Driver:
@@ -294,12 +312,12 @@ class _Driver:
         self.steps: list[ReductionStep] = [] if record else None  # type: ignore[assignment]
 
     def emit(self, name: str, word: Word) -> None:
+        g, top, bottom = self.g, self.top, self.bottom
         for i in word:
-            self.top, self.bottom = _act_letter(self.g, self.top, self.bottom, i)
+            top, bottom = _act_letter(g, top, bottom, i)
+        self.top, self.bottom = top, bottom
         if self.steps is not None:
-            self.steps.append(
-                ReductionStep(name, word, SpinMatrix(self.g, self.top, self.bottom))
-            )
+            self.steps.append(ReductionStep(name, word, SpinMatrix(g, top, bottom)))
 
     def check(self, condition: bool, what: str) -> None:
         if not condition:
@@ -310,27 +328,30 @@ class _Driver:
 
     def untouched_outside(self, lo: int, hi: int, top: int, bottom: int) -> bool:
         """Rows agree with (top, bottom) outside columns lo..hi."""
-        window = ((1 << hi) - 1) ^ ((1 << (lo - 1)) - 1)
-        keep = ~window
+        keep = ~_window(lo, hi)
         return (self.top & keep) == (top & keep) and (self.bottom & keep) == (bottom & keep)
 
     def pattern(self, k: int) -> int:
         return ((self.top >> (k - 1)) & 1) | (((self.bottom >> (k - 1)) & 1) << 1)
 
     def window_is(self, lo: int, hi: int, value: int) -> bool:
-        return all(self.pattern(k) == value for k in range(lo, hi + 1))
+        """Every column lo..hi has the given pattern."""
+        mask = _window(lo, hi)
+        top = mask if value & _TOP else 0
+        bottom = mask if value & _BOT else 0
+        return (self.top & mask) == top and (self.bottom & mask) == bottom
 
     # -- verified composite moves ------------------------------------------
 
     def clear_bottom_columns(self, columns: list[int]) -> None:
         """Zero the bottom bit of (0,1) columns; tops are untouched."""
         old_top = self.top
+        named = 0
+        for k in columns:
+            named |= 1 << (k - 1)
         self.emit("clear-bottom-columns", tuple(2 * k for k in columns))
         self.check(self.top == old_top, "leave the top row unchanged")
-        self.check(
-            all(self.pattern(k) == _ZERO for k in columns),
-            "clear the named bottom entries",
-        )
+        self.check((self.top | self.bottom) & named == 0, "clear the named bottom entries")
 
     def cancel_full_pair(self, s: int) -> None:
         """Turn adjacent (1,1) columns at s, s+1 into (0,1) columns."""
@@ -435,12 +456,13 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
 
     drv = _Driver(matrix, record)
 
-    bottoms = [k for k, kind in _column_kinds(g, drv.top, drv.bottom) if kind == _BOT]
+    columns = _column_kinds(drv.top, drv.bottom)
+    bottoms = [k for k, kind in columns if kind == _BOT]
     if bottoms:
         drv.clear_bottom_columns(bottoms)
+        columns = _column_kinds(drv.top, drv.bottom)
 
     while True:
-        columns = _column_kinds(g, drv.top, drv.bottom)
         count = len(columns)
         pair = _rightmost_equal_pair(columns)
         if pair is not None:
@@ -458,13 +480,14 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
             drv.drop_top_right(columns[-1][0])
         else:
             break
-        remaining = len(_column_kinds(g, drv.top, drv.bottom))
+        columns = _column_kinds(drv.top, drv.bottom)
+        remaining = len(columns)
         if remaining >= count:
             raise ReductionInvariantError(
                 f"no progress: {count} -> {remaining} nonzero columns"
             )
 
-    survivors = _column_kinds(g, drv.top, drv.bottom)
+    survivors = columns
     expected = [_FULL if idx % 2 == 0 else _TOP for idx in range(len(survivors))]
     if [kind for _, kind in survivors] != expected or (
         survivors and survivors[-1][1] != _FULL
@@ -483,7 +506,7 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
     if m > _max_class(g):
         raise ReductionInvariantError(f"class index {m} exceeds bound for genus {g}")
     final = SpinMatrix(g, drv.top, drv.bottom)
-    if final != canonical_form(g, m):
+    if classify_canonical(final) != m:
         raise ReductionInvariantError(f"landed on {final}, not the class-{m} form")
     steps = tuple(drv.steps) if record else ()
     if record and apply_word(matrix, tuple(i for s in steps for i in s.word)) != final:

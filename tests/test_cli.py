@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hyperspin import cli
 from hyperspin.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -191,3 +192,33 @@ def test_verify_rejects_malformed_range(capsys):
 
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
+
+
+
+# ---------------------------------------------------------------------------
+# internal failures
+
+
+def _raise(error):
+    def fail(*args, **kwargs):
+        raise error("injected failure")
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "target, error, argv",
+    [
+        ("reduce_to_canonical", "ReductionInvariantError", ("classify", "5", "11111/10111")),
+        ("reduce_to_canonical", "ReductionInvariantError", ("reduce", "5", "11111/10111")),
+        ("census", "SelfCheckError", ("orbits", "3")),
+    ],
+)
+def test_internal_check_failure_exits_one(capsys, monkeypatch, target, error, argv):
+    monkeypatch.setattr(cli, target, _raise(getattr(cli, error)))
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CHECK_FAILED
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: internal check failed: ")
+    assert err.count("\n") == 1

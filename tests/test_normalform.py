@@ -1,15 +1,20 @@
 """Canonical forms, guarded moves, and the traced reduction."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperspin import normalform
 from hyperspin import (
     CANCEL_TOPS,
     FLIP_BOTTOM,
     FLIP_TOP_FIRST,
     FLIP_TOP_LAST,
     Move,
+    ReductionInvariantError,
     SWAP_TOPS,
     SpinMatrix,
     alternating_block,
@@ -65,6 +70,20 @@ def test_canonical_form_rejects_out_of_range():
 def test_classify_canonical_spots_representatives_only():
     assert classify_canonical(canonical_form(6, 2)) == 2
     assert classify_canonical(SpinMatrix.from_text("110000/100000")) is None
+
+
+def test_alternating_block_bottom_matches_the_bit_sum():
+    for i in range(1, 201):
+        block = alternating_block(i)
+        assert block.bottom == sum(1 << k for k in range(0, 2 * i - 1, 2))
+        assert block.top == (1 << (2 * i - 1)) - 1
+
+
+def test_classify_canonical_agrees_with_comparing_every_form():
+    for g in range(1, 7):
+        forms = {canonical_form(g, m): m for m in range((g + 1) // 2 + 1)}
+        for matrix in every_matrix(g):
+            assert classify_canonical(matrix) == forms.get(matrix)
 
 
 def test_arf_of_representatives_is_class_parity():
@@ -226,6 +245,34 @@ def test_reduction_of_canonical_input_is_empty():
 def test_reduction_rejects_small_genus():
     with pytest.raises(ValueError):
         reduce_to_canonical(SpinMatrix.zero(2))
+
+
+def test_reduction_guards_fire_when_a_letter_does_nothing(monkeypatch):
+    monkeypatch.setattr(normalform, "_act_letter", lambda g, top, bottom, i: (top, bottom))
+    with pytest.raises(ReductionInvariantError, match="cancel the top entries of columns 4,5"):
+        reduce_to_canonical(SpinMatrix.from_text("11111/10111"))
+
+
+# SHA-256 of every trace below, one "<matrix> <class>" line per input and then
+# its step lines.  Any change to a move, word or intermediate matrix moves it.
+TRACE_DIGEST = "1e35e855710d28cd4855d3ff0c9c7635020db0165bb9e41c18cce72a905fb1a3"
+
+
+def test_reduction_traces_are_pinned():
+    inputs = [m for g in range(3, 7) for m in every_matrix(g)]
+    rng = random.Random(2111)
+    for g in (12, 40, 64):
+        for _ in range(200):
+            top = rng.getrandbits(g)
+            inputs.append(SpinMatrix(g, top, rng.getrandbits(g)))
+    assert len(inputs) == 6040
+    digest = hashlib.sha256()
+    for m in inputs:
+        trace = reduce_to_canonical(m)
+        digest.update(f"{m} {trace.class_index}\n".encode())
+        for step in trace.steps:
+            digest.update((step.to_text() + "\n").encode())
+    assert digest.hexdigest() == TRACE_DIGEST
 
 
 # ---------------------------------------------------------------------------
