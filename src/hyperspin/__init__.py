@@ -17,34 +17,19 @@ from .braid import (
     flip_word,
     format_word,
     generator_class,
-    generator_label,
     parse_word,
     permutation_of_word,
     word_for_permutation,
 )
 from .gf2 import (
-    ALPHA,
-    BETA,
-    BETA_PAIR,
-    BasisLabel,
     HomologyClass,
     SpinMatrix,
-    alpha,
     arf,
-    beta,
-    beta_pair,
-    class_of,
     dehn_twist,
     evaluate,
     intersection,
 )
 from .normalform import (
-    CANCEL_TOPS,
-    FLIP_BOTTOM,
-    FLIP_TOP_FIRST,
-    FLIP_TOP_LAST,
-    SWAP_TOPS,
-    Move,
     ReductionInvariantError,
     ReductionStep,
     ReductionTrace,
@@ -53,7 +38,6 @@ from .normalform import (
     class_index,
     classify_canonical,
     fixed_point_matrix,
-    move_word,
     reduce_to_canonical,
     stabilizer_form,
 )
@@ -75,17 +59,8 @@ from .orbits import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "ALPHA",
-    "BETA",
-    "BETA_PAIR",
-    "BasisLabel",
-    "CANCEL_TOPS",
-    "FLIP_BOTTOM",
-    "FLIP_TOP_FIRST",
-    "FLIP_TOP_LAST",
     "HomologyClass",
     "IsotropyReport",
-    "Move",
     "OrbitPartition",
     "OrbitRecord",
     "Permutation",
@@ -95,19 +70,14 @@ __all__ = [
     "SelfCheckError",
     "SpPartition",
     "SpinMatrix",
-    "SWAP_TOPS",
     "Word",
-    "alpha",
     "alternating_block",
     "apply_generator",
     "apply_word",
     "arf",
-    "beta",
-    "beta_pair",
     "canonical_form",
     "census",
     "class_index",
-    "class_of",
     "classify_canonical",
     "dehn_twist",
     "enumerate_orbits",
@@ -117,9 +87,7 @@ __all__ = [
     "flip_word",
     "format_word",
     "generator_class",
-    "generator_label",
     "intersection",
-    "move_word",
     "parse_word",
     "permutation_of_word",
     "predicted_orbit_size",

@@ -30,26 +30,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .gf2 import BasisLabel, HomologyClass, SpinMatrix, alpha, beta, beta_pair, class_of
+from .gf2 import HomologyClass, SpinMatrix
 
 Word = tuple[int, ...]
 
 
-def generator_label(i: int, g: int) -> BasisLabel:
-    """The twist-curve label of generator s_i."""
+def generator_class(i: int, g: int) -> HomologyClass:
+    """The basis curve that generator s_i twists about (table above).
+
+    >>> generator_class(3, 3)
+    HomologyClass(g=3, a=0, b=3)
+    """
     if not 1 <= i <= 2 * g + 1:
         raise ValueError(f"generator index {i} out of range 1..{2 * g + 1}")
     if i == 1:
-        return beta(1)
+        return HomologyClass(g, 0, 1)
     if i == 2 * g + 1:
-        return beta(g)
+        return HomologyClass(g, 0, 1 << (g - 1))
     if i % 2 == 0:
-        return alpha(i // 2)
-    return beta_pair((i - 1) // 2)
-
-
-def generator_class(i: int, g: int) -> HomologyClass:
-    return class_of(generator_label(i, g), g)
+        return HomologyClass(g, 1 << (i // 2 - 1), 0)
+    return HomologyClass(g, 0, 3 << ((i - 1) // 2 - 1))
 
 
 def _act_letter(g: int, top: int, bottom: int, i: int) -> tuple[int, int]:

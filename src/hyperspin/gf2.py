@@ -34,13 +34,11 @@ def _bits_to_text(bits: int, g: int) -> str:
 
 
 def _text_to_bits(text: str) -> int:
-    bits = 0
-    for k, ch in enumerate(text):
-        if ch == "1":
-            bits |= 1 << k
-        elif ch != "0":
-            raise ValueError(f"matrix rows must consist of 0/1 characters, got {ch!r}")
-    return bits
+    # Check first: int(..., 2) alone would also accept "1_0", " 10" and "+10".
+    bad = text.strip("01")
+    if bad:
+        raise ValueError(f"matrix rows must consist of 0/1 characters, got {bad[0]!r}")
+    return int(text[::-1], 2)
 
 
 @dataclass(frozen=True)
@@ -74,60 +72,6 @@ class HomologyClass:
     @classmethod
     def zero(cls, g: int) -> "HomologyClass":
         return cls(g, 0, 0)
-
-
-#: Kinds of basis-derived twist curves: a single alpha, a single beta, or
-#: the sum of two consecutive betas.
-ALPHA = "alpha"
-BETA = "beta"
-BETA_PAIR = "beta_pair"
-
-
-@dataclass(frozen=True)
-class BasisLabel:
-    """Symbolic name of a twist class: alpha_i, beta_i, or beta_j + beta_{j+1}."""
-
-    kind: str
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in (ALPHA, BETA, BETA_PAIR):
-            raise ValueError(f"unknown basis label kind {self.kind!r}")
-        if self.index < 1:
-            raise ValueError(f"basis index must be >= 1, got {self.index}")
-
-
-def alpha(i: int) -> BasisLabel:
-    return BasisLabel(ALPHA, i)
-
-
-def beta(i: int) -> BasisLabel:
-    return BasisLabel(BETA, i)
-
-
-def beta_pair(j: int) -> BasisLabel:
-    """The class beta_j + beta_{j+1}."""
-    return BasisLabel(BETA_PAIR, j)
-
-
-def class_of(label: BasisLabel, g: int) -> HomologyClass:
-    """Materialise a basis label as a bit-packed homology class.
-
-    >>> class_of(beta_pair(1), 3)
-    HomologyClass(g=3, a=0, b=3)
-    """
-    i = label.index
-    if label.kind == ALPHA:
-        if i > g:
-            raise ValueError(f"alpha index {i} out of range for genus {g}")
-        return HomologyClass(g, 1 << (i - 1), 0)
-    if label.kind == BETA:
-        if i > g:
-            raise ValueError(f"beta index {i} out of range for genus {g}")
-        return HomologyClass(g, 0, 1 << (i - 1))
-    if i > g - 1:
-        raise ValueError(f"beta pair index {i} out of range for genus {g}")
-    return HomologyClass(g, 0, (1 << (i - 1)) | (1 << i))
 
 
 @dataclass(frozen=True)
@@ -195,8 +139,8 @@ def intersection(x: HomologyClass, y: HomologyClass) -> int:
 
     Bilinear and alternating: x.x = 0 for every x.
 
-    >>> g = 3
-    >>> intersection(class_of(alpha(1), g), class_of(beta(1), g))
+    >>> alpha_1, beta_1 = HomologyClass(3, a=1, b=0), HomologyClass(3, a=0, b=1)
+    >>> intersection(alpha_1, beta_1)
     1
     """
     if x.g != y.g:

@@ -5,8 +5,8 @@ Orbit representatives.  For m >= 1 the alternating block of width 2m-1
 is the canonical representative of the class-m orbit; the all-zero matrix
 represents class 0.  The class index runs 0..ceil(g/2).
 
-Reduction.  Every spin matrix can be driven onto a representative by the
-five guarded single-generator moves:
+Reduction.  The reducer's composite steps are built from five
+single-generator moves, each of which has its effect only under its guard:
 
     flip-bottom(i)   s_{2i},    needs c(alpha_i) = 0;  flips c(beta_i)
     flip-top-first   s_1,       needs c(beta_1) = 0;   flips c(alpha_1)
@@ -192,65 +192,6 @@ def fixed_point_matrix(g: int) -> SpinMatrix | None:
     if g % 2 == 0:
         return None
     return canonical_form(g, (g + 1) // 2)
-
-
-# ---------------------------------------------------------------------------
-# Guarded single-generator moves
-
-
-FLIP_BOTTOM = "flip-bottom"
-FLIP_TOP_FIRST = "flip-top-first"
-SWAP_TOPS = "swap-tops"
-CANCEL_TOPS = "cancel-tops"
-FLIP_TOP_LAST = "flip-top-last"
-
-
-@dataclass(frozen=True)
-class Move:
-    """One guarded move; index names the column (flip-bottom) or the left
-    column of the pair (swap-tops / cancel-tops)."""
-
-    kind: str
-    index: int = 0
-
-
-def move_word(matrix: SpinMatrix, move: Move) -> Word:
-    """The single-generator word realizing a guarded move, or raise.
-
-    The guard is checked against the matrix; a failing guard means the
-    generator would not have the advertised effect, so the move is rejected.
-
-    >>> move_word(SpinMatrix.from_text("010/110"), Move(SWAP_TOPS, 1))
-    (3,)
-    """
-    g = matrix.g
-    kind, i = move.kind, move.index
-    if kind == FLIP_BOTTOM:
-        if not 1 <= i <= g:
-            raise ValueError(f"column {i} out of range for genus {g}")
-        if matrix.column(i)[0] != 0:
-            raise ValueError(f"flip-bottom({i}) needs c(alpha_{i}) = 0")
-        return (2 * i,)
-    if kind == FLIP_TOP_FIRST:
-        if matrix.column(1)[1] != 0:
-            raise ValueError("flip-top-first needs c(beta_1) = 0")
-        return (1,)
-    if kind == FLIP_TOP_LAST:
-        if matrix.column(g)[1] != 0:
-            raise ValueError(f"flip-top-last needs c(beta_{g}) = 0")
-        return (2 * g + 1,)
-    if kind in (SWAP_TOPS, CANCEL_TOPS):
-        if not 1 <= i <= g - 1:
-            raise ValueError(f"column pair {i} out of range for genus {g}")
-        (tj, bj), (tj1, bj1) = matrix.column(i), matrix.column(i + 1)
-        if bj != bj1:
-            raise ValueError(f"{kind}({i}) needs c(beta_{i}) = c(beta_{i + 1})")
-        if kind == SWAP_TOPS and tj == tj1:
-            raise ValueError(f"swap-tops({i}) needs unequal top entries")
-        if kind == CANCEL_TOPS and tj != tj1:
-            raise ValueError(f"cancel-tops({i}) needs equal top entries")
-        return (2 * i + 1,)
-    raise ValueError(f"unknown move kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .braid import apply_generator, apply_word, flip_word
+from .braid import apply_generator, apply_word, flip_word, generator_class
 from .gf2 import SpinMatrix, arf
 from .normalform import class_index, stabilizer_form
 
@@ -41,45 +41,28 @@ def _check_enumeration_genus(g: int) -> None:
         )
 
 
+def _twist_packed(g: int, gamma_key: int, keys: np.ndarray) -> np.ndarray:
+    """Twist about the class packed in gamma_key, applied to packed keys.
+
+    c(gamma) is parity(key & gamma_key) + parity(a_gamma & b_gamma); where
+    it is 0 the twist adds gamma's beta-word to the top row and its
+    alpha-word to the bottom row (see gf2.dehn_twist).
+    """
+    ga, gb = gamma_key & ((1 << g) - 1), gamma_key >> g
+    flip = np.bitwise_count(keys & np.uint32(gamma_key)) & 1
+    flip ^= ((ga & gb).bit_count() & 1) ^ 1
+    return keys ^ flip * np.uint32(gb | ga << g)
+
+
 def apply_generator_keys(g: int, i: int, keys: np.ndarray) -> np.ndarray:
-    """Vectorized generator action on packed keys."""
-    if not 1 <= i <= 2 * g + 1:
-        raise ValueError(f"generator index {i} out of range 1..{2 * g + 1}")
-    gmask = (1 << g) - 1
-    a = keys & gmask
-    b = keys >> np.uint32(g)
-    if i == 1:
-        a = a ^ ((b & 1) ^ 1)
-    elif i == 2 * g + 1:
-        t = g - 1
-        a = a ^ ((((b >> np.uint32(t)) & 1) ^ 1) << np.uint32(t))
-    elif i % 2 == 0:
-        t = i // 2 - 1
-        b = b ^ ((((a >> np.uint32(t)) & 1) ^ 1) << np.uint32(t))
-    else:
-        t = (i - 1) // 2 - 1
-        flip = ((b >> np.uint32(t)) ^ (b >> np.uint32(t + 1)) ^ 1) & 1
-        a = a ^ (flip << np.uint32(t)) ^ (flip << np.uint32(t + 1))
-    return a | (b << np.uint32(g))
+    """Vectorized generator action: the twist about generator_class(i, g)."""
+    gamma = generator_class(i, g)
+    return _twist_packed(g, gamma.a | gamma.b << g, keys)
 
 
 def twist_keys(g: int, gamma_key: int, keys: np.ndarray) -> np.ndarray:
     """Vectorized twist transvection about the class packed in gamma_key."""
-    gmask = (1 << g) - 1
-    ga = gamma_key & gmask
-    gb = gamma_key >> g
-    a = keys & gmask
-    b = keys >> np.uint32(g)
-    value = (
-        ((ga & gb).bit_count() & 1)
-        ^ (np.bitwise_count(a & np.uint32(ga)) & 1)
-        ^ (np.bitwise_count(b & np.uint32(gb)) & 1)
-    )
-    keep = value.astype(np.uint32)  # twist fixes the structure iff c(gamma) = 1
-    flip = keep ^ 1
-    a = a ^ (flip * np.uint32(gb))
-    b = b ^ (flip * np.uint32(ga))
-    return a | (b << np.uint32(g))
+    return _twist_packed(g, gamma_key, keys)
 
 
 def arf_keys(g: int, keys: np.ndarray) -> np.ndarray:
@@ -103,7 +86,6 @@ def _bfs_partition(n: int, expand) -> np.ndarray:
                 new = images[labels[images] == _UNSEEN]
                 if new.size:
                     new = np.unique(new)
-                    new = new[labels[new] == _UNSEEN]
                     labels[new] = seed
                     fresh.append(new)
             frontier = np.concatenate(fresh) if fresh else np.empty(0, dtype=np.uint32)

@@ -7,20 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperspin import (
+    HomologyClass,
     Permutation,
     SpinMatrix,
-    alpha,
     apply_generator,
     apply_word,
     arf,
-    beta,
-    beta_pair,
-    class_of,
     dehn_twist,
     flip_word,
     format_word,
     generator_class,
-    generator_label,
     parse_word,
     permutation_of_word,
     word_for_permutation,
@@ -36,14 +32,20 @@ def every_matrix(g):
 # generator dictionary
 
 
-def test_generator_labels_follow_the_twist_dictionary():
+def test_generator_classes_follow_the_twist_dictionary():
     g = 4
-    assert generator_label(1, g) == beta(1)
-    assert generator_label(2 * g + 1, g) == beta(g)
-    for i in range(1, g + 1):
-        assert generator_label(2 * i, g) == alpha(i)
-    for j in range(1, g):
-        assert generator_label(2 * j + 1, g) == beta_pair(j)
+    assert generator_class(1, g) == HomologyClass(g, 0, 0b0001)  # beta_1
+    assert generator_class(9, g) == HomologyClass(g, 0, 0b1000)  # beta_4
+    assert generator_class(2, g) == HomologyClass(g, 0b0001, 0)  # alpha_1
+    assert generator_class(4, g) == HomologyClass(g, 0b0010, 0)  # alpha_2
+    assert generator_class(6, g) == HomologyClass(g, 0b0100, 0)  # alpha_3
+    assert generator_class(8, g) == HomologyClass(g, 0b1000, 0)  # alpha_4
+    assert generator_class(3, g) == HomologyClass(g, 0, 0b0011)  # beta_1 + beta_2
+    assert generator_class(5, g) == HomologyClass(g, 0, 0b0110)  # beta_2 + beta_3
+    assert generator_class(7, g) == HomologyClass(g, 0, 0b1100)  # beta_3 + beta_4
+    assert generator_class(4, 3) == HomologyClass(3, 0b010, 0)
+    assert generator_class(3, 3) == HomologyClass(3, 0, 0b011)
+    assert generator_class(7, 3) == HomologyClass(3, 0, 0b100)
 
 
 def test_generator_index_range_is_enforced():
@@ -55,7 +57,9 @@ def test_generator_index_range_is_enforced():
     with pytest.raises(ValueError):
         apply_word(m, (1, 2, 9))
     with pytest.raises(ValueError):
-        generator_label(8, 3)
+        generator_class(0, 3)
+    with pytest.raises(ValueError):
+        generator_class(8, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +86,33 @@ def test_even_generator_flips_bottom_iff_top_is_zero():
     m = SpinMatrix.from_text("010/000")
     assert str(apply_generator(m, 2)) == "010/100"
     assert str(apply_generator(m, 4)) == "010/000"
+
+
+def test_guarded_moves_have_their_advertised_effect():
+    # the five single-generator moves the reducer's steps are built from
+    assert str(apply_generator(SpinMatrix.zero(3), 1)) == "100/000"  # flip-top-first
+    assert str(apply_generator(SpinMatrix.from_text("010/110"), 3)) == "100/110"  # swap
+    assert str(apply_generator(SpinMatrix.from_text("110/000"), 3)) == "000/000"  # cancel
+    m = SpinMatrix.from_text("011/010")
+    assert str(apply_generator(m, 2)) == "011/110"  # flip-bottom(1)
+    assert str(apply_generator(m, 7)) == "010/010"  # flip-top-last
+
+
+def test_generators_fix_the_matrix_when_a_move_guard_fails():
+    m = SpinMatrix.from_text("110/101")
+    assert apply_generator(m, 2) == m  # flip-bottom(1): c(alpha_1) = 1
+    assert apply_generator(m, 1) == m  # flip-top-first: c(beta_1) = 1
+    assert apply_generator(m, 7) == m  # flip-top-last: c(beta_3) = 1
+    assert apply_generator(m, 3) == m  # swap/cancel-tops(1): c(beta_1) != c(beta_2)
+    # with the bottom guard met, equal tops cancel and unequal tops swap
+    assert str(apply_generator(SpinMatrix.from_text("110/110"), 3)) == "000/110"
+    assert str(apply_generator(SpinMatrix.from_text("010/110"), 3)) == "100/110"
+
+
+def test_single_letter_word_is_the_generator():
+    m = SpinMatrix.from_text("010/110")
+    for i in range(1, 8):
+        assert apply_word(m, (i,)) == apply_generator(m, i)
 
 
 def test_action_agrees_with_twist_about_generator_class():

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, flags, exit codes."""
 
+import builtins
 import json
 
 import pytest
@@ -56,6 +57,8 @@ def test_classify_rejects_parse_failures(capsys):
     assert run(capsys, "classify", "5", "junk")[0] == EXIT_USAGE
     assert run(capsys, "classify", "5", "111/101")[0] == EXIT_USAGE  # genus mismatch
     assert run(capsys, "classify", "x", "111/101")[0] == EXIT_USAGE
+    for row in ("1_0", "+10", "1 0"):  # rows that int(row, 2) alone would accept
+        assert run(capsys, "classify", "3", f"{row}/101")[0] == EXIT_USAGE
 
 
 def test_classify_rejects_small_genus(capsys):
@@ -212,10 +215,12 @@ def _raise(error):
         ("reduce_to_canonical", "ReductionInvariantError", ("classify", "5", "11111/10111")),
         ("reduce_to_canonical", "ReductionInvariantError", ("reduce", "5", "11111/10111")),
         ("census", "SelfCheckError", ("orbits", "3")),
+        ("census", "ValueError", ("orbits", "3")),
     ],
 )
 def test_internal_check_failure_exits_one(capsys, monkeypatch, target, error, argv):
-    monkeypatch.setattr(cli, target, _raise(getattr(cli, error)))
+    error_type = getattr(cli, error, None) or getattr(builtins, error)
+    monkeypatch.setattr(cli, target, _raise(error_type))
     code, out, err = run(capsys, *argv)
     assert code == EXIT_CHECK_FAILED
     assert out == ""

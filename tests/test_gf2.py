@@ -1,6 +1,7 @@
 """Homology classes, spin matrices, and the twist action."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,7 @@ from hypothesis import strategies as st
 from hyperspin import (
     HomologyClass,
     SpinMatrix,
-    alpha,
     arf,
-    beta,
-    beta_pair,
-    class_of,
     dehn_twist,
     evaluate,
     intersection,
@@ -29,6 +26,14 @@ def every_class(g):
     mask = (1 << g) - 1
     for key in range(1 << (2 * g)):
         yield HomologyClass(g, key & mask, key >> g)
+
+
+def alpha(k, g):
+    return HomologyClass(g, 1 << (k - 1), 0)
+
+
+def beta(k, g):
+    return HomologyClass(g, 0, 1 << (k - 1))
 
 
 def random_class(g, rng):
@@ -57,14 +62,14 @@ def classes_for(g):
 
 def test_intersection_of_dual_basis_classes():
     g = 3
-    assert intersection(class_of(alpha(1), g), class_of(beta(1), g)) == 1
-    assert intersection(class_of(alpha(1), g), class_of(alpha(2), g)) == 0
-    assert intersection(class_of(beta(2), g), class_of(beta(3), g)) == 0
-    assert intersection(class_of(alpha(2), g), class_of(beta(3), g)) == 0
+    assert intersection(alpha(1, g), beta(1, g)) == 1
+    assert intersection(alpha(1, g), alpha(2, g)) == 0
+    assert intersection(beta(2, g), beta(3, g)) == 0
+    assert intersection(alpha(2, g), beta(3, g)) == 0
 
 
 def test_intersection_is_alternating():
-    x = class_of(alpha(1), 2) + class_of(beta(2), 2)
+    x = alpha(1, 2) + beta(2, 2)
     assert intersection(x, x) == 0
     for y in every_class(3):
         assert intersection(y, y) == 0
@@ -87,10 +92,10 @@ def test_intersection_rejects_genus_mismatch():
 
 def test_evaluate_example_and_refinement_crosscheck():
     m = SpinMatrix.from_text("111/101")
-    x = class_of(alpha(1), 3) + class_of(beta(1), 3)
+    x = alpha(1, 3) + beta(1, 3)
     assert evaluate(m, x) == 1
     # same value through the quadratic refinement of the two basis values
-    a1, b1 = class_of(alpha(1), 3), class_of(beta(1), 3)
+    a1, b1 = alpha(1, 3), beta(1, 3)
     assert evaluate(m, x) == evaluate(m, a1) ^ evaluate(m, b1) ^ intersection(a1, b1)
 
 
@@ -101,15 +106,15 @@ def test_evaluate_zero_class_is_zero():
 
 def test_evaluate_on_zero_matrix_sees_the_product_term():
     m = SpinMatrix.zero(2)
-    x = class_of(alpha(1), 2) + class_of(beta(1), 2)
+    x = alpha(1, 2) + beta(1, 2)
     assert evaluate(m, x) == 1
 
 
 def test_evaluate_restricted_to_basis_reproduces_matrix():
     for m in every_matrix(3):
         for k in range(1, 4):
-            assert evaluate(m, class_of(alpha(k), 3)) == m.column(k)[0]
-            assert evaluate(m, class_of(beta(k), 3)) == m.column(k)[1]
+            assert evaluate(m, alpha(k, 3)) == m.column(k)[0]
+            assert evaluate(m, beta(k, 3)) == m.column(k)[1]
 
 
 def test_quadratic_refinement_exhaustive_g_le_3():
@@ -165,9 +170,9 @@ def test_arf_is_twist_invariant_exhaustive_g_le_4():
 
 def test_twist_about_alpha_flips_bottom_entry():
     m = SpinMatrix.from_text("010/111")
-    twisted = dehn_twist(m, class_of(alpha(1), 3))  # c(alpha_1) = 0
+    twisted = dehn_twist(m, alpha(1, 3))  # c(alpha_1) = 0
     assert str(twisted) == "010/011"
-    fixed = dehn_twist(m, class_of(alpha(2), 3))  # c(alpha_2) = 1
+    fixed = dehn_twist(m, alpha(2, 3))  # c(alpha_2) = 1
     assert fixed == m
 
 
@@ -178,7 +183,7 @@ def test_twist_about_zero_class_is_identity():
 
 def test_twist_about_beta_pair_flips_both_tops():
     m = SpinMatrix.from_text("001/110")  # c(beta_1) + c(beta_2) = 0
-    twisted = dehn_twist(m, class_of(beta_pair(1), 3))
+    twisted = dehn_twist(m, HomologyClass(3, 0, 0b011))  # beta_1 + beta_2
     assert str(twisted) == "111/110"
 
 
@@ -203,7 +208,7 @@ def test_twist_matches_basiswise_formula(data):
     twisted = dehn_twist(matrix, gamma)
     flip = evaluate(matrix, gamma) ^ 1
     for k in range(1, g + 1):
-        ak, bk = class_of(alpha(k), g), class_of(beta(k), g)
+        ak, bk = alpha(k, g), beta(k, g)
         assert twisted.column(k)[0] == evaluate(matrix, ak) ^ (intersection(ak, gamma) & flip)
         assert twisted.column(k)[1] == evaluate(matrix, bk) ^ (intersection(bk, gamma) & flip)
 
@@ -211,25 +216,6 @@ def test_twist_matches_basiswise_formula(data):
 def test_twist_rejects_genus_mismatch():
     with pytest.raises(ValueError):
         dehn_twist(SpinMatrix.zero(2), HomologyClass.zero(3))
-
-
-# ---------------------------------------------------------------------------
-# class_of and labels
-
-
-def test_class_of_basis_labels():
-    assert class_of(alpha(2), 3) == HomologyClass(3, 0b010, 0)
-    assert class_of(beta_pair(1), 3) == HomologyClass(3, 0, 0b011)
-    assert class_of(beta(3), 3) == HomologyClass(3, 0, 0b100)
-
-
-def test_class_of_rejects_out_of_range_indices():
-    with pytest.raises(ValueError):
-        class_of(alpha(4), 3)
-    with pytest.raises(ValueError):
-        class_of(beta_pair(3), 3)
-    with pytest.raises(ValueError):
-        class_of(beta(0), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +228,24 @@ def test_matrix_text_round_trip(text):
 
 
 @pytest.mark.parametrize(
-    "text", ["111/10", "111", "11a/101", "/", "", "1/0/1", "11 1/101"]
+    "text",
+    ["111/10", "111", "11a/101", "/", "", "1/0/1", "11 1/101"]
+    # rows that int(row, 2) alone would accept
+    + ["1_0/101", "+10/101", "1 0/101"],
 )
 def test_matrix_text_rejects_malformed(text):
     with pytest.raises(ValueError):
         SpinMatrix.from_text(text)
+
+
+def test_matrix_text_parses_like_a_bit_by_bit_reference():
+    rng = random.Random(3)
+    for _ in range(200):
+        g = rng.randint(1, 300)
+        rows = ["".join(rng.choice("01") for _ in range(g)) for _ in range(2)]
+        expected = [sum(1 << k for k, ch in enumerate(row) if ch == "1") for row in rows]
+        m = SpinMatrix.from_text("/".join(rows))
+        assert (m.g, m.top, m.bottom) == (g, *expected)
 
 
 def test_matrix_key_round_trip():

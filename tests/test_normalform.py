@@ -1,4 +1,4 @@
-"""Canonical forms, guarded moves, and the traced reduction."""
+"""Canonical forms and the traced reduction."""
 
 import hashlib
 import random
@@ -9,13 +9,7 @@ from hypothesis import strategies as st
 
 from hyperspin import normalform
 from hyperspin import (
-    CANCEL_TOPS,
-    FLIP_BOTTOM,
-    FLIP_TOP_FIRST,
-    FLIP_TOP_LAST,
-    Move,
     ReductionInvariantError,
-    SWAP_TOPS,
     SpinMatrix,
     alternating_block,
     apply_generator,
@@ -25,7 +19,6 @@ from hyperspin import (
     class_index,
     classify_canonical,
     fixed_point_matrix,
-    move_word,
     reduce_to_canonical,
     stabilizer_form,
 )
@@ -150,52 +143,6 @@ def test_fixed_point_is_fixed_by_every_generator():
         m = fixed_point_matrix(g)
         for i in range(1, 2 * g + 2):
             assert apply_generator(m, i) == m
-
-
-# ---------------------------------------------------------------------------
-# guarded moves
-
-
-def test_move_word_examples():
-    zero = SpinMatrix.zero(3)
-    assert move_word(zero, Move(FLIP_TOP_FIRST)) == (1,)
-    assert str(apply_word(zero, (1,))) == "100/000"
-
-    m = SpinMatrix.from_text("010/110")
-    assert move_word(m, Move(SWAP_TOPS, 1)) == (3,)
-    assert str(apply_word(m, (3,))) == "100/110"
-
-    m2 = SpinMatrix.from_text("110/000")
-    assert move_word(m2, Move(CANCEL_TOPS, 1)) == (3,)
-    assert str(apply_word(m2, (3,))) == "000/000"
-
-    m3 = SpinMatrix.from_text("011/010")
-    assert move_word(m3, Move(FLIP_BOTTOM, 1)) == (2,)
-    assert move_word(m3, Move(FLIP_TOP_LAST)) == (7,)
-
-
-def test_move_word_rejects_failing_guards():
-    m = SpinMatrix.from_text("110/101")
-    with pytest.raises(ValueError):
-        move_word(m, Move(FLIP_BOTTOM, 1))  # c(alpha_1) = 1
-    with pytest.raises(ValueError):
-        move_word(m, Move(FLIP_TOP_FIRST))  # c(beta_1) = 1
-    with pytest.raises(ValueError):
-        move_word(m, Move(FLIP_TOP_LAST))  # c(beta_3) = 1
-    with pytest.raises(ValueError):
-        move_word(m, Move(SWAP_TOPS, 1))  # c(beta_1) != c(beta_2)
-    with pytest.raises(ValueError):
-        move_word(SpinMatrix.from_text("110/110"), Move(SWAP_TOPS, 1))  # equal tops
-    with pytest.raises(ValueError):
-        move_word(SpinMatrix.from_text("010/110"), Move(CANCEL_TOPS, 1))  # unequal
-    with pytest.raises(ValueError):
-        move_word(m, Move("sideways", 1))
-
-
-def test_move_word_realizes_single_generator_actions():
-    m = SpinMatrix.from_text("010/110")
-    word = move_word(m, Move(SWAP_TOPS, 1))
-    assert apply_word(m, word) == apply_generator(m, 3)
 
 
 # ---------------------------------------------------------------------------

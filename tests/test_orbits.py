@@ -41,18 +41,26 @@ def test_vectorized_generator_action_matches_scalar():
             for key in range(1 << (2 * g)):
                 expected = apply_generator(SpinMatrix.from_key(g, key), i).key()
                 assert int(images[key]) == expected
+    g = 12  # keys reach bit 23, so the high uint32 bits are exercised
+    keys = np.random.default_rng(12).integers(0, 1 << (2 * g), 2000, dtype=np.uint32)
+    for i in range(1, 2 * g + 2):
+        images = apply_generator_keys(g, i, keys)
+        assert images.dtype == np.uint32
+        for key, image in zip(keys.tolist(), images.tolist()):
+            assert image == apply_generator(SpinMatrix.from_key(g, key), i).key()
 
 
 def test_vectorized_twist_matches_scalar():
-    g = 2
-    keys = np.arange(1 << (2 * g), dtype=np.uint32)
-    mask = (1 << g) - 1
-    for gamma_key in range(1 << (2 * g)):
-        gamma = HomologyClass(g, gamma_key & mask, gamma_key >> g)
-        images = twist_keys(g, gamma_key, keys)
-        for key in range(1 << (2 * g)):
-            expected = dehn_twist(SpinMatrix.from_key(g, key), gamma).key()
-            assert int(images[key]) == expected
+    for g in (2, 3):
+        keys = np.arange(1 << (2 * g), dtype=np.uint32)
+        mask = (1 << g) - 1
+        for gamma_key in range(1 << (2 * g)):
+            gamma = HomologyClass(g, gamma_key & mask, gamma_key >> g)
+            images = twist_keys(g, gamma_key, keys)
+            assert images.dtype == np.uint32
+            for key in range(1 << (2 * g)):
+                expected = dehn_twist(SpinMatrix.from_key(g, key), gamma).key()
+                assert int(images[key]) == expected
 
 
 def test_vectorized_arf_matches_scalar():
