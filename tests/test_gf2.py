@@ -13,6 +13,7 @@ from hyperspin import (
     arf,
     dehn_twist,
     evaluate,
+    generator_class,
     intersection,
 )
 
@@ -216,6 +217,28 @@ def test_twist_matches_basiswise_formula(data):
 def test_twist_rejects_genus_mismatch():
     with pytest.raises(ValueError):
         dehn_twist(SpinMatrix.zero(2), HomologyClass.zero(3))
+
+
+# ---------------------------------------------------------------------------
+# classes of the basis curves
+
+
+def test_class_of_basis_labels():
+    g = 3
+    assert generator_class(4, g) == alpha(2, g) == HomologyClass(g, 0b010, 0)
+    assert generator_class(3, g) == beta(1, g) + beta(2, g) == HomologyClass(g, 0, 0b011)
+    assert generator_class(7, g) == beta(3, g) == HomologyClass(g, 0, 0b100)
+
+
+def test_class_of_rejects_out_of_range_indices():
+    with pytest.raises(ValueError):
+        HomologyClass(3, 0b1000, 0)  # alpha_4
+    with pytest.raises(ValueError):
+        HomologyClass(3, 0, 0b1100)  # beta_3 + beta_4
+    with pytest.raises(ValueError):
+        generator_class(0, 3)
+    with pytest.raises(ValueError):
+        generator_class(8, 3)  # would twist about alpha_4
 
 
 # ---------------------------------------------------------------------------
