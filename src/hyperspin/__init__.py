@@ -46,7 +46,6 @@ from .orbits import (
     OrbitPartition,
     OrbitRecord,
     SelfCheckError,
-    SpPartition,
     census,
     enumerate_orbits,
     fixed_matrices,
@@ -68,7 +67,6 @@ __all__ = [
     "ReductionStep",
     "ReductionTrace",
     "SelfCheckError",
-    "SpPartition",
     "SpinMatrix",
     "Word",
     "alternating_block",

@@ -119,11 +119,16 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _emit(payload: dict, as_json: bool) -> None:
+    """Print payload as one JSON line or as key<TAB>value lines.
+
+    The whole text is built before any of it is written, so a failure
+    while formatting leaves stdout empty.
+    """
     if as_json:
-        print(json.dumps(payload, sort_keys=True))
-        return
-    for key, value in payload.items():
-        print(f"{key}\t{value}")
+        text = json.dumps(payload, sort_keys=True)
+    else:
+        text = "\n".join(f"{key}\t{value}" for key, value in payload.items())
+    print(text)
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +239,10 @@ def _cmd_isotropy(args: argparse.Namespace) -> int:
         "passed": report.passed,
         "failures": list(report.failures),
     }
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
+    if not args.json:
         payload["fixing_generators"] = ",".join(map(str, payload["fixing_generators"]))
         payload["failures"] = ";".join(report.failures) or "-"
-        _emit(payload, False)
+    _emit(payload, args.json)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -351,13 +354,10 @@ def _verify_genus(g: int, max_g: int, reduce_cap: int) -> list[dict]:
         except SelfCheckError as exc:
             rows.append(_row(g, "orbit-sizes", "FAIL", str(exc)))
             records = ()
-        # Arf constancy across each whole orbit, vectorized.
+        # A key's label is a member of its orbit, so Arf is constant per
+        # orbit exactly when every key has the Arf value of its label.
         keys = np.arange(1 << (2 * g), dtype=np.uint32)
-        values = arf_keys(g, keys)
-        constant = all(
-            np.unique(values[partition.labels == oid]).size == 1
-            for oid in partition.orbit_ids
-        )
+        constant = np.array_equal(arf_keys(g, keys), arf_keys(g, partition.labels))
         rows.append(
             _row(g, "arf-census", "PASS" if constant else "FAIL", "constant per orbit")
         )
@@ -451,11 +451,8 @@ def _verify_genus(g: int, max_g: int, reduce_cap: int) -> list[dict]:
             sp = sp_transvection_orbits(g)
             detail = " ".join(str(v) for v in sorted(sp.sizes().values(), reverse=True))
             if partition is not None:
-                refined = all(
-                    np.unique(sp.labels[partition.labels == oid]).size == 1
-                    for oid in partition.orbit_ids
-                )
-                if not refined:
+                # Refinement: each key lies in the sp-orbit of its label.
+                if not np.array_equal(sp.labels[partition.labels], sp.labels):
                     rows.append(_row(g, "sp-crosscheck", "FAIL", "orbit not contained"))
                     return rows
                 if g == 2 and not np.array_equal(sp.labels, partition.labels):
@@ -586,6 +583,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    # Stabilizer orders are exact and can pass Python's default limit on
+    # int -> str digits; lift it for the command and restore it afterwards.
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -594,6 +595,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ReductionInvariantError, SelfCheckError, ValueError) as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,8 +26,6 @@ from .normalform import class_index, stabilizer_form
 
 MAX_ENUMERATION_GENUS = 12
 MAX_SP_GENUS = 6
-
-_UNSEEN = np.uint32(0xFFFFFFFF)
 
 
 class SelfCheckError(RuntimeError):
@@ -71,21 +70,33 @@ def arf_keys(g: int, keys: np.ndarray) -> np.ndarray:
 
 
 def _bfs_partition(n: int, expand) -> np.ndarray:
-    """Label array for the partition generated by expand(frontier) -> images."""
-    labels = np.full(n, _UNSEEN, dtype=np.uint32)
+    """Label array for the partition generated by expand(frontier) -> images.
+
+    Seeds are taken in increasing key order, so each label is the minimum
+    key of its orbit.  No batch needs a dedupe: every map expand yields is
+    a twist, hence an involution and injective, so its images of a
+    duplicate-free frontier hold no repeats, and marking each batch seen
+    before the next map runs keeps out keys that two maps both reach.
+    "Seen" is a 1-byte map beside the labels, so the per-edge gather reads
+    a quarter of the bytes the 4-byte label array would, and the next seed
+    is found by scanning it from the last seed on.
+    """
+    labels = np.empty(n, dtype=np.uint32)
+    seen = np.zeros(n, dtype=bool)
+    seed = 0
     while True:
-        unseen = np.flatnonzero(labels == _UNSEEN)
-        if unseen.size == 0:
+        seed += int(np.argmin(seen[seed:]))
+        if seen[seed]:
             return labels
-        seed = np.uint32(unseen[0])
+        seen[seed] = True
         labels[seed] = seed
         frontier = np.array([seed], dtype=np.uint32)
         while frontier.size:
             fresh = []
             for images in expand(frontier):
-                new = images[labels[images] == _UNSEEN]
+                new = images[~seen[images]]
                 if new.size:
-                    new = np.unique(new)
+                    seen[new] = True
                     labels[new] = seed
                     fresh.append(new)
             frontier = np.concatenate(fresh) if fresh else np.empty(0, dtype=np.uint32)
@@ -93,22 +104,32 @@ def _bfs_partition(n: int, expand) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OrbitPartition:
-    """BFS partition of all packed keys under the 2g+1 generators."""
+    """BFS partition of all packed keys into orbits.
+
+    enumerate_orbits builds it under the 2g+1 generators,
+    sp_transvection_orbits under the twists about every nonzero class.
+    The orbit sizes are counted once, on first use, and shared by sizes(),
+    orbit_ids and orbit_count.
+    """
 
     g: int
     labels: np.ndarray  # labels[key] = minimum key of its orbit
 
+    @cached_property
+    def _sizes(self) -> dict[int, int]:
+        ids, counts = np.unique(self.labels, return_counts=True)
+        return dict(zip(ids.tolist(), counts.tolist()))
+
     @property
     def orbit_ids(self) -> tuple[int, ...]:
-        return tuple(int(v) for v in np.unique(self.labels))
+        return tuple(self._sizes)
 
     @property
     def orbit_count(self) -> int:
-        return len(np.unique(self.labels))
+        return len(self._sizes)
 
     def sizes(self) -> dict[int, int]:
-        ids, counts = np.unique(self.labels, return_counts=True)
-        return {int(i): int(c) for i, c in zip(ids, counts)}
+        return dict(self._sizes)
 
     def orbit_of(self, matrix: SpinMatrix) -> int:
         if matrix.g != self.g:
@@ -129,11 +150,10 @@ def enumerate_orbits(g: int) -> OrbitPartition:
         for i in generators:
             yield apply_generator_keys(g, i, frontier)
 
-    labels = _bfs_partition(1 << (2 * g), expand)
-    sizes = np.unique(labels, return_counts=True)[1]
-    if int(sizes.sum()) != 1 << (2 * g):
+    partition = OrbitPartition(g, _bfs_partition(1 << (2 * g), expand))
+    if sum(partition.sizes().values()) != 1 << (2 * g):
         raise SelfCheckError("orbit sizes do not sum to the state count")
-    return OrbitPartition(g, labels)
+    return partition
 
 
 def predicted_orbit_size(g: int, m: int) -> int:
@@ -267,19 +287,7 @@ def verify_isotropy(
     )
 
 
-@dataclass(frozen=True)
-class SpPartition:
-    """Partition of the state space under all nonzero twist transvections."""
-
-    g: int
-    labels: np.ndarray
-
-    def sizes(self) -> dict[int, int]:
-        ids, counts = np.unique(self.labels, return_counts=True)
-        return {int(i): int(c) for i, c in zip(ids, counts)}
-
-
-def sp_transvection_orbits(g: int) -> SpPartition:
+def sp_transvection_orbits(g: int) -> OrbitPartition:
     """Partition under twists about every nonzero class (the full group).
 
     Exactly two orbits must appear, with constant Arf and sizes
@@ -297,18 +305,16 @@ def sp_transvection_orbits(g: int) -> SpPartition:
         for gamma_key in gammas:
             yield twist_keys(g, gamma_key, frontier)
 
-    labels = _bfs_partition(n, expand)
-    partition = SpPartition(g, labels)
+    partition = OrbitPartition(g, _bfs_partition(n, expand))
     sizes = partition.sizes()
     if len(sizes) != 2:
         raise SelfCheckError(f"expected 2 transvection orbits, found {len(sizes)}")
-    by_arf = {}
-    for orbit_id in sizes:
-        members = np.flatnonzero(labels == orbit_id)
-        values = np.unique(arf_keys(g, members.astype(np.uint32)))
-        if values.size != 1:
-            raise SelfCheckError(f"orbit {orbit_id} has non-constant Arf")
-        by_arf[int(values[0])] = sizes[orbit_id]
+    # A key's label is a member of its orbit, so Arf is constant on every
+    # orbit exactly when each key has the Arf value of its label.
+    values = arf_keys(g, np.arange(n, dtype=np.uint32))
+    if not np.array_equal(values, arf_keys(g, partition.labels)):
+        raise SelfCheckError("a transvection orbit has non-constant Arf")
+    by_arf = {int(values[orbit_id]): size for orbit_id, size in sizes.items()}
     half = 1 << (g - 1)
     if by_arf != {0: half * ((1 << g) + 1), 1: half * ((1 << g) - 1)}:
         raise SelfCheckError(f"transvection orbit sizes {by_arf} are wrong")
@@ -316,10 +322,13 @@ def sp_transvection_orbits(g: int) -> SpPartition:
 
 
 def fixed_matrices(g: int) -> tuple[SpinMatrix, ...]:
-    """All matrices fixed by every generator (exhaustive, vectorized)."""
+    """All matrices fixed by every generator (exhaustive, vectorized).
+
+    Every key is tested against the first generator; only its survivors
+    go on to the next.
+    """
     _check_enumeration_genus(g)
     keys = np.arange(1 << (2 * g), dtype=np.uint32)
-    fixed = np.ones(keys.shape, dtype=bool)
     for i in range(1, 2 * g + 2):
-        fixed &= apply_generator_keys(g, i, keys) == keys
-    return tuple(SpinMatrix.from_key(g, int(k)) for k in np.flatnonzero(fixed))
+        keys = keys[apply_generator_keys(g, i, keys) == keys]
+    return tuple(SpinMatrix.from_key(g, k) for k in keys.tolist())

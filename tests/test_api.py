@@ -12,7 +12,6 @@ EXPORTED = [
     "ReductionStep",
     "ReductionTrace",
     "SelfCheckError",
-    "SpPartition",
     "SpinMatrix",
     "Word",
     "alternating_block",
@@ -45,7 +44,7 @@ EXPORTED = [
 
 
 def test_exported_names_are_pinned():
-    assert len(EXPORTED) == 38
+    assert len(EXPORTED) == 37
     assert sorted(hyperspin.__all__) == sorted(EXPORTED)
     assert len(set(hyperspin.__all__)) == len(hyperspin.__all__)
 

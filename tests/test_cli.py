@@ -2,10 +2,11 @@
 
 import builtins
 import json
+import sys
 
 import pytest
 
-from hyperspin import cli
+from hyperspin import cli, predicted_stabilizer_order
 from hyperspin.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -127,6 +128,22 @@ def test_isotropy_report(capsys):
     assert "tau_fixes\tTrue" in out
     assert "predicted_order\t1152" in out
     assert "observed_order\t1152" in out
+
+
+def test_isotropy_prints_exact_orders_past_the_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "isotropy", "870", "0")
+    json_code, json_out, json_err = run(capsys, "isotropy", "870", "0", "--json")
+    assert sys.get_int_max_str_digits() == limit  # main restores the limit
+    assert (code, err) == (json_code, json_err) == (EXIT_OK, "")
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(predicted_stabilizer_order(870, 0))
+        assert len(expected) > limit
+        assert f"predicted_order\t{expected}\n" in out
+        assert json.loads(json_out)["predicted_order"] == int(expected)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_isotropy_rejects_bad_class(capsys):

@@ -1,5 +1,6 @@
 """Exhaustive enumeration: partitions, censuses, stabilizers, cross-checks."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -102,6 +103,54 @@ def test_partition_is_deterministic():
     a = enumerate_orbits(4)
     b = enumerate_orbits(4)
     assert np.array_equal(a.labels, b.labels)
+
+
+# SHA-256 of labels.tobytes() (uint32).  Each label is its orbit's minimum
+# key, so the digests hold however the BFS orders its frontiers.
+GENERATOR_LABEL_DIGESTS = {
+    1: "67ceb487f055eac566c44be1ef8170350ebbc1881fdbfba6c7a75a221229349b",
+    2: "1ef94764fe67d488925de0aba101073f75ea011c75ed51b0c6e9597dbe3cda6a",
+    3: "6d6a8a6c1e4b7ee110b4bf3827596b779ad4ceb89eab0d1561573c1b6b21518c",
+    4: "2c6c18403692d88c76f7684f3ab91f25a731751ff3c2e8ed55b45ba7fbbcae37",
+    5: "fb7a09f0b3ac8d1706d0a949604c5f9fedbfefca3787a16899e9515b37d0b2cb",
+    6: "6c5834b5c79f928801e364c51238a14351b0ddd907038e936321f0bb5f3cc22f",
+    7: "9630a4104046eb3ecd669e0e781dc67d1714dcfbcd53f5d9a52036bffc5a0372",
+    8: "a7dfc89b4d09345403931257f722a43755c6e27e433ecc481e34e96e604f7cc6",
+    9: "4d0e0ac43f6b6699387f6866494eadc4af2093e9eba0e4581550f6abce2e4ceb",
+    10: "7701da129e261b71928e9f8294266045f3f2ddc18991241fbc1dd16b52b7d934",
+}
+TRANSVECTION_LABEL_DIGESTS = {
+    1: "67ceb487f055eac566c44be1ef8170350ebbc1881fdbfba6c7a75a221229349b",
+    2: "1ef94764fe67d488925de0aba101073f75ea011c75ed51b0c6e9597dbe3cda6a",
+    3: "4a893a6e9c6ae5efe82e6faa9ade169e40767fd30bea34287fdb675b0afd543c",
+    4: "ec08bf7a3ff540c1ecfd5ff11072ea10a655a0d06309e6ac827dacbb25c0b660",
+    5: "6fbbdd3b8fb782af7798ea6d7f1c4cd35aa74c0a351527ab6eaf3fd3125fddd1",
+}
+
+
+def _digest(labels: np.ndarray) -> str:
+    assert labels.dtype == np.uint32
+    return hashlib.sha256(labels.tobytes()).hexdigest()
+
+
+def test_generator_labels_are_pinned():
+    for g, digest in GENERATOR_LABEL_DIGESTS.items():
+        assert _digest(enumerate_orbits(g).labels) == digest, g
+
+
+def test_transvection_labels_are_pinned():
+    for g, digest in TRANSVECTION_LABEL_DIGESTS.items():
+        assert _digest(sp_transvection_orbits(g).labels) == digest, g
+
+
+def test_sizes_returns_a_copy(partitions):
+    part = partitions[4]
+    sizes = part.sizes()
+    sizes.clear()
+    sizes[-1] = 7
+    assert part.sizes() == {0: 126, 17: 120, 87: 10}
+    assert part.orbit_ids == (0, 17, 87)
+    assert part.orbit_count == 3
 
 
 def test_enumeration_rejects_oversized_genus():
@@ -234,6 +283,9 @@ def test_fixed_matrices_odd_and_even():
     assert fixed_matrices(4) == ()
     assert [str(m) for m in fixed_matrices(5)] == ["11111/10101"]
     assert fixed_matrices(6) == ()
+    assert [str(m) for m in fixed_matrices(7)] == ["1111111/1010101"]
+    assert fixed_matrices(8) == ()
+    assert [str(m) for m in fixed_matrices(9)] == ["111111111/101010101"]
     assert fixed_matrices(10) == ()
     assert fixed_matrices(1) == (fixed_point_matrix(1),)
 
