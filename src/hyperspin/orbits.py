@@ -10,13 +10,19 @@ their minimum packed key, so the partition, census and all derived tables
 are bit-reproducible.  Stabilizer orders are exact integers throughout;
 (2g+2)! overflows 64 bits from g = 10 on, so no fixed-width arithmetic is
 used for them.
+
+Memory: a partition is its 4-byte label array plus, while the BFS runs, a
+1-byte seen map: 5 bytes per key, 80 MB at g = 12.  The BFS counts each
+orbit's size as it labels it, so nothing sorts or recounts the labels.
+Every other pass over all keys (fixed matrices, the Arf check) walks them
+in blocks of 2^20 keys, so the partition is the largest allocation
+of the enumeration path and `verify 9..12` peaks at about 120 MB.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +32,7 @@ from .normalform import class_index, stabilizer_form
 
 MAX_ENUMERATION_GENUS = 12
 MAX_SP_GENUS = 6
+_KEY_BLOCK = 1 << 20  # keys per block in the passes over all keys
 
 
 class SelfCheckError(RuntimeError):
@@ -65,12 +72,33 @@ def twist_keys(g: int, gamma_key: int, keys: np.ndarray) -> np.ndarray:
 
 
 def arf_keys(g: int, keys: np.ndarray) -> np.ndarray:
-    gmask = (1 << g) - 1
-    return np.bitwise_count((keys & gmask) & (keys >> np.uint32(g))) & 1
+    pairs = keys & np.uint32((1 << g) - 1)
+    pairs &= keys >> np.uint32(g)
+    return np.bitwise_count(pairs) & 1
 
 
-def _bfs_partition(n: int, expand) -> np.ndarray:
-    """Label array for the partition generated by expand(frontier) -> images.
+def _key_blocks(n: int):
+    """All keys 0..n-1 as uint32 arrays of at most _KEY_BLOCK keys each."""
+    for start in range(0, n, _KEY_BLOCK):
+        yield np.arange(start, min(start + _KEY_BLOCK, n), dtype=np.uint32)
+
+
+def arf_constant_on_orbits(g: int, labels: np.ndarray) -> bool:
+    """Whether Arf is constant on every orbit of a label array.
+
+    A key's label is a member of its orbit, so Arf is constant per orbit
+    exactly when each key has the Arf value of its label.
+    """
+    return all(
+        np.array_equal(
+            arf_keys(g, keys), arf_keys(g, labels[keys[0] : keys[-1] + 1])
+        )
+        for keys in _key_blocks(labels.size)
+    )
+
+
+def _bfs_partition(n: int, expand) -> tuple[np.ndarray, dict[int, int]]:
+    """Labels and orbit sizes of the partition generated by expand(frontier).
 
     Seeds are taken in increasing key order, so each label is the minimum
     key of its orbit.  No batch needs a dedupe: every map expand yields is
@@ -79,27 +107,33 @@ def _bfs_partition(n: int, expand) -> np.ndarray:
     before the next map runs keeps out keys that two maps both reach.
     "Seen" is a 1-byte map beside the labels, so the per-edge gather reads
     a quarter of the bytes the 4-byte label array would, and the next seed
-    is found by scanning it from the last seed on.
+    is found by scanning it from the last seed on.  Each seed's orbit size
+    is the number of keys labelled from it; sizes are keyed by seed, so in
+    increasing key order.
     """
     labels = np.empty(n, dtype=np.uint32)
     seen = np.zeros(n, dtype=bool)
+    sizes: dict[int, int] = {}
     seed = 0
     while True:
         seed += int(np.argmin(seen[seed:]))
         if seen[seed]:
-            return labels
+            return labels, sizes
         seen[seed] = True
         labels[seed] = seed
+        size = 1
         frontier = np.array([seed], dtype=np.uint32)
         while frontier.size:
             fresh = []
             for images in expand(frontier):
-                new = images[~seen[images]]
+                new = images[~np.take(seen, images)]
                 if new.size:
                     seen[new] = True
                     labels[new] = seed
+                    size += new.size
                     fresh.append(new)
             frontier = np.concatenate(fresh) if fresh else np.empty(0, dtype=np.uint32)
+        sizes[seed] = size
 
 
 @dataclass(frozen=True)
@@ -108,17 +142,13 @@ class OrbitPartition:
 
     enumerate_orbits builds it under the 2g+1 generators,
     sp_transvection_orbits under the twists about every nonzero class.
-    The orbit sizes are counted once, on first use, and shared by sizes(),
-    orbit_ids and orbit_count.
+    The orbit sizes are the BFS's own counts, shared by sizes(), orbit_ids
+    and orbit_count.
     """
 
     g: int
     labels: np.ndarray  # labels[key] = minimum key of its orbit
-
-    @cached_property
-    def _sizes(self) -> dict[int, int]:
-        ids, counts = np.unique(self.labels, return_counts=True)
-        return dict(zip(ids.tolist(), counts.tolist()))
+    _sizes: dict[int, int] = field(repr=False)  # orbit id -> size, ids ascending
 
     @property
     def orbit_ids(self) -> tuple[int, ...]:
@@ -150,7 +180,7 @@ def enumerate_orbits(g: int) -> OrbitPartition:
         for i in generators:
             yield apply_generator_keys(g, i, frontier)
 
-    partition = OrbitPartition(g, _bfs_partition(1 << (2 * g), expand))
+    partition = OrbitPartition(g, *_bfs_partition(1 << (2 * g), expand))
     if sum(partition.sizes().values()) != 1 << (2 * g):
         raise SelfCheckError("orbit sizes do not sum to the state count")
     return partition
@@ -305,16 +335,15 @@ def sp_transvection_orbits(g: int) -> OrbitPartition:
         for gamma_key in gammas:
             yield twist_keys(g, gamma_key, frontier)
 
-    partition = OrbitPartition(g, _bfs_partition(n, expand))
+    partition = OrbitPartition(g, *_bfs_partition(n, expand))
     sizes = partition.sizes()
     if len(sizes) != 2:
         raise SelfCheckError(f"expected 2 transvection orbits, found {len(sizes)}")
-    # A key's label is a member of its orbit, so Arf is constant on every
-    # orbit exactly when each key has the Arf value of its label.
-    values = arf_keys(g, np.arange(n, dtype=np.uint32))
-    if not np.array_equal(values, arf_keys(g, partition.labels)):
+    if not arf_constant_on_orbits(g, partition.labels):
         raise SelfCheckError("a transvection orbit has non-constant Arf")
-    by_arf = {int(values[orbit_id]): size for orbit_id, size in sizes.items()}
+    by_arf = {
+        arf(SpinMatrix.from_key(g, orbit_id)): size for orbit_id, size in sizes.items()
+    }
     half = 1 << (g - 1)
     if by_arf != {0: half * ((1 << g) + 1), 1: half * ((1 << g) - 1)}:
         raise SelfCheckError(f"transvection orbit sizes {by_arf} are wrong")
@@ -324,11 +353,13 @@ def sp_transvection_orbits(g: int) -> OrbitPartition:
 def fixed_matrices(g: int) -> tuple[SpinMatrix, ...]:
     """All matrices fixed by every generator (exhaustive, vectorized).
 
-    Every key is tested against the first generator; only its survivors
-    go on to the next.
+    Keys are scanned block by block; in each block every key is tested
+    against the first generator and only its survivors go on to the next.
     """
     _check_enumeration_genus(g)
-    keys = np.arange(1 << (2 * g), dtype=np.uint32)
-    for i in range(1, 2 * g + 2):
-        keys = keys[apply_generator_keys(g, i, keys) == keys]
-    return tuple(SpinMatrix.from_key(g, k) for k in keys.tolist())
+    fixed = []
+    for keys in _key_blocks(1 << (2 * g)):
+        for i in range(1, 2 * g + 2):
+            keys = keys[apply_generator_keys(g, i, keys) == keys]
+        fixed.extend(keys.tolist())
+    return tuple(SpinMatrix.from_key(g, k) for k in fixed)

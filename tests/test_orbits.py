@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,12 @@ from hyperspin import (
     stabilizer_form,
     verify_isotropy,
 )
-from hyperspin.orbits import apply_generator_keys, arf_keys, twist_keys
+from hyperspin.orbits import (
+    apply_generator_keys,
+    arf_constant_on_orbits,
+    arf_keys,
+    twist_keys,
+)
 from hyperspin.braid import apply_generator
 from hyperspin.gf2 import HomologyClass, dehn_twist
 
@@ -28,6 +34,12 @@ from hyperspin.gf2 import HomologyClass, dehn_twist
 @pytest.fixture(scope="module")
 def partitions():
     return {g: enumerate_orbits(g) for g in range(1, 7)}
+
+
+@pytest.fixture(scope="module")
+def partition_11():
+    # 2^22 keys: the smallest genus whose key passes span several blocks
+    return enumerate_orbits(11)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +163,18 @@ def test_sizes_returns_a_copy(partitions):
     assert part.sizes() == {0: 126, 17: 120, 87: 10}
     assert part.orbit_ids == (0, 17, 87)
     assert part.orbit_count == 3
+
+
+def _recount(labels: np.ndarray) -> dict[int, int]:
+    ids, counts = np.unique(labels, return_counts=True)
+    return dict(zip(ids.tolist(), counts.tolist()))
+
+
+def test_sizes_match_an_independent_recount():
+    parts = [enumerate_orbits(g) for g in range(1, 11)]
+    parts += [sp_transvection_orbits(g) for g in range(1, 6)]
+    for part in parts:
+        assert list(part.sizes().items()) == list(_recount(part.labels).items())
 
 
 def test_enumeration_rejects_oversized_genus():
@@ -290,6 +314,21 @@ def test_fixed_matrices_odd_and_even():
     assert fixed_matrices(1) == (fixed_point_matrix(1),)
 
 
+def test_fixed_matrices_span_several_blocks():
+    assert fixed_matrices(11) == (fixed_point_matrix(11),)
+    assert fixed_matrices(12) == ()
+
+
+def test_arf_check_reads_the_last_block(partition_11):
+    g, labels = 11, partition_11.labels
+    assert arf_constant_on_orbits(g, labels)
+    last = labels.size - 1
+    broken = labels.copy()
+    # key 0 has Arf 0; 1 | 1 << g (one column with both bits set) has Arf 1
+    broken[last] = 0 if arf(SpinMatrix.from_key(g, int(labels[last]))) else 1 | 1 << g
+    assert not arf_constant_on_orbits(g, broken)
+
+
 def test_class_agreement_with_partition(partitions):
     for g in (3, 4):
         part = partitions[g]
@@ -299,3 +338,28 @@ def test_class_agreement_with_partition(partitions):
         for key in range(1 << (2 * g)):
             matrix = SpinMatrix.from_key(g, key)
             assert class_index(matrix) == rep_class[int(part.labels[key])]
+
+
+# ---------------------------------------------------------------------------
+# memory: the partition is the largest allocation of the enumeration path
+
+
+def _traced_peak_mb(func, *args) -> float:
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_key_passes_stream_in_blocks(partition_11):
+    # All 2^22 keys at g = 11 would be 16 MB as uint32.
+    labels = partition_11.labels
+    assert _traced_peak_mb(fixed_matrices, 11) < 16
+    assert _traced_peak_mb(arf_constant_on_orbits, 11, labels) < 16
+
+
+def test_enumeration_peak_is_labels_and_seen_map():
+    # labels (16 MB) plus the 1-byte seen map (4 MB) at g = 11
+    assert _traced_peak_mb(enumerate_orbits, 11) < 28
