@@ -10,9 +10,8 @@ fixed-point G              the matrix fixed by all generators, if any
 verify [RANGE]             run the verification suite (default 3..8)
 
 ``--json`` switches any command to a structured dump.  ``verify`` accepts
-``--max-g`` (enumeration ceiling), ``--threads`` (fan the per-genus bundles
-out to a worker pool; output order is canonical regardless), and
-``--strict`` (treat resource skips as failures).
+``--max-g`` (enumeration ceiling) and ``--strict`` (treat resource skips
+as failures).
 
 Exit codes: 0 all passed, 1 check failure, 2 usage or parse error,
 3 a resource skip occurred under --strict.
@@ -25,7 +24,6 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -354,7 +352,7 @@ def _verify_genus(g: int, max_g: int, reduce_cap: int) -> list[dict]:
         except SelfCheckError as exc:
             rows.append(_row(g, "orbit-sizes", "FAIL", str(exc)))
             records = ()
-        constant = arf_constant_on_orbits(g, partition.labels)
+        constant = arf_constant_on_orbits(partition)
         rows.append(
             _row(g, "arf-census", "PASS" if constant else "FAIL", "constant per orbit")
         )
@@ -365,16 +363,15 @@ def _verify_genus(g: int, max_g: int, reduce_cap: int) -> list[dict]:
 
     if g >= 3:
         if partition is not None and g <= reduce_cap:
-            rep_class = {
-                oid: class_index(SpinMatrix.from_key(g, oid))
-                for oid in partition.orbit_ids
-            }
+            # rep_class[k] is the class of the seed of ordinal k
+            rep_class = [None] + [
+                class_index(SpinMatrix.from_key(g, oid)) for oid in partition.orbit_ids
+            ]
             bad = next(
                 (
                     key
-                    for key in range(1 << (2 * g))
-                    if class_index(SpinMatrix.from_key(g, key))
-                    != rep_class[int(partition.labels[key])]
+                    for key, ordinal in enumerate(partition.ordinals.tolist())
+                    if class_index(SpinMatrix.from_key(g, key)) != rep_class[ordinal]
                 ),
                 None,
             )
@@ -448,11 +445,13 @@ def _verify_genus(g: int, max_g: int, reduce_cap: int) -> list[dict]:
             sp = sp_transvection_orbits(g)
             detail = " ".join(str(v) for v in sorted(sp.sizes().values(), reverse=True))
             if partition is not None:
-                # Refinement: each key lies in the sp-orbit of its label.
-                if not np.array_equal(sp.labels[partition.labels], sp.labels):
+                # Refinement: each key lies in the sp-orbit of its orbit's seed.
+                seed_sp = sp.ordinals[list(partition.orbit_ids)]
+                if not np.array_equal(seed_sp[partition.ordinals - 1], sp.ordinals):
                     rows.append(_row(g, "sp-crosscheck", "FAIL", "orbit not contained"))
                     return rows
-                if g == 2 and not np.array_equal(sp.labels, partition.labels):
+                # Both seed in key order: equal partitions, equal ordinals.
+                if g == 2 and not np.array_equal(sp.ordinals, partition.ordinals):
                     rows.append(_row(g, "sp-crosscheck", "FAIL", "partitions differ"))
                     return rows
             rows.append(_row(g, "sp-crosscheck", "PASS", detail))
@@ -484,20 +483,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     max_g = args.max_g
     if max_g < 1:
         raise UsageError("--max-g must be >= 1")
-    threads = args.threads
-    if threads < 1:
-        raise UsageError("--threads must be >= 1")
     started = time.time()
 
-    genera = list(range(lo, hi + 1))
-    if threads == 1:
-        bundles = [_verify_genus(g, max_g, args.reduce_cap) for g in genera]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            bundles = list(
-                pool.map(lambda g: _verify_genus(g, max_g, args.reduce_cap), genera)
-            )
-    rows = [row for bundle in bundles for row in bundle]
+    rows = [
+        row for g in range(lo, hi + 1) for row in _verify_genus(g, max_g, args.reduce_cap)
+    ]
     rows.extend(_golden_trace_rows())
 
     failed = any(row["status"] == "FAIL" for row in rows)
@@ -566,7 +556,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("range", nargs="?", default="3..8")
     p.add_argument("--max-g", type=int, default=MAX_ENUMERATION_GENUS)
     p.add_argument("--reduce-cap", type=int, default=8, help=argparse.SUPPRESS)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)

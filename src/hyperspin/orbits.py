@@ -11,12 +11,11 @@ are bit-reproducible.  Stabilizer orders are exact integers throughout;
 (2g+2)! overflows 64 bits from g = 10 on, so no fixed-width arithmetic is
 used for them.
 
-Memory: a partition is its 4-byte label array plus, while the BFS runs, a
-1-byte seen map: 5 bytes per key, 80 MB at g = 12.  The BFS counts each
-orbit's size as it labels it, so nothing sorts or recounts the labels.
-Every other pass over all keys (fixed matrices, the Arf check) walks them
-in blocks of 2^20 keys, so the partition is the largest allocation
-of the enumeration path and `verify 9..12` peaks at about 120 MB.
+Memory: a partition is one byte per key, 16 MB at g = 12: the BFS's seen
+map holds each key's orbit ordinal and its orbit sizes are counted as it
+goes; 4-byte minimum-key labels are derived only when asked for.  Every
+other pass over all keys (fixed matrices, the Arf check) walks them in
+blocks of 2^20 keys, so `verify 9..12` peaks at about 60 MB.
 """
 
 from __future__ import annotations
@@ -83,71 +82,74 @@ def _key_blocks(n: int):
         yield np.arange(start, min(start + _KEY_BLOCK, n), dtype=np.uint32)
 
 
-def arf_constant_on_orbits(g: int, labels: np.ndarray) -> bool:
-    """Whether Arf is constant on every orbit of a label array.
+def arf_constant_on_orbits(partition: OrbitPartition) -> bool:
+    """Whether Arf is constant on every orbit of a partition.
 
-    A key's label is a member of its orbit, so Arf is constant per orbit
-    exactly when each key has the Arf value of its label.
+    An orbit's seed is a member of it, so Arf is constant per orbit exactly
+    when each key has the Arf value of the seed of its ordinal.
     """
+    g, ordinals = partition.g, partition.ordinals
+    # ordinal 0 (an unseen key) gets 2, which no key's Arf matches
+    seed_arf = np.array(
+        [2] + [arf(SpinMatrix.from_key(g, seed)) for seed in partition.orbit_ids],
+        dtype=np.uint8,
+    )
     return all(
-        np.array_equal(
-            arf_keys(g, keys), arf_keys(g, labels[keys[0] : keys[-1] + 1])
-        )
-        for keys in _key_blocks(labels.size)
+        np.array_equal(arf_keys(g, keys), seed_arf[ordinals[keys[0] : keys[-1] + 1]])
+        for keys in _key_blocks(ordinals.size)
     )
 
 
 def _bfs_partition(n: int, expand) -> tuple[np.ndarray, dict[int, int]]:
-    """Labels and orbit sizes of the partition generated by expand(frontier).
+    """Orbit ordinals and sizes of the partition generated by expand(frontier).
 
-    Seeds are taken in increasing key order, so each label is the minimum
-    key of its orbit.  No batch needs a dedupe: every map expand yields is
-    a twist, hence an involution and injective, so its images of a
-    duplicate-free frontier hold no repeats, and marking each batch seen
-    before the next map runs keeps out keys that two maps both reach.
-    "Seen" is a 1-byte map beside the labels, so the per-edge gather reads
-    a quarter of the bytes the 4-byte label array would, and the next seed
-    is found by scanning it from the last seed on.  Each seed's orbit size
-    is the number of keys labelled from it; sizes are keyed by seed, so in
-    increasing key order.
+    ordinals[key] = k puts key in the k-th orbit found and 0 marks it
+    unseen, so one uint8 map is both the partition and the seen test of the
+    per-edge gather.  Seeds are found by scanning it for its next 0, so in
+    increasing key order, and each is the minimum key of its orbit.  No
+    batch needs a dedupe: every map expand yields is a twist, hence an
+    involution and injective, so its images of a duplicate-free frontier
+    hold no repeats, and marking each batch before the next map runs keeps
+    out keys that two maps both reach.  sizes maps each seed to its orbit's
+    size, so its k-th key is the seed of ordinal k.
     """
-    labels = np.empty(n, dtype=np.uint32)
-    seen = np.zeros(n, dtype=bool)
+    ordinals = np.zeros(n, dtype=np.uint8)
     sizes: dict[int, int] = {}
     seed = 0
     while True:
-        seed += int(np.argmin(seen[seed:]))
-        if seen[seed]:
-            return labels, sizes
-        seen[seed] = True
-        labels[seed] = seed
+        seed += int(np.argmin(ordinals[seed:]))
+        if ordinals[seed]:
+            return ordinals, sizes
+        ordinal = len(sizes) + 1
+        if ordinal > 255:  # the largest uint8 ordinal
+            raise SelfCheckError("more than 255 orbits")
+        ordinals[seed] = ordinal
         size = 1
         frontier = np.array([seed], dtype=np.uint32)
         while frontier.size:
             fresh = []
             for images in expand(frontier):
-                new = images[~np.take(seen, images)]
+                new = images[np.take(ordinals, images) == 0]
                 if new.size:
-                    seen[new] = True
-                    labels[new] = seed
+                    ordinals[new] = ordinal
                     size += new.size
                     fresh.append(new)
             frontier = np.concatenate(fresh) if fresh else np.empty(0, dtype=np.uint32)
         sizes[seed] = size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitPartition:
     """BFS partition of all packed keys into orbits.
 
     enumerate_orbits builds it under the 2g+1 generators,
     sp_transvection_orbits under the twists about every nonzero class.
     The orbit sizes are the BFS's own counts, shared by sizes(), orbit_ids
-    and orbit_count.
+    and orbit_count.  Equality is identity.
     """
 
     g: int
-    labels: np.ndarray  # labels[key] = minimum key of its orbit
+    ordinals: np.ndarray  # uint8; ordinals[key] = k: key is in orbit orbit_ids[k-1]
     _sizes: dict[int, int] = field(repr=False)  # orbit id -> size, ids ascending
 
     @property
@@ -158,13 +160,18 @@ class OrbitPartition:
     def orbit_count(self) -> int:
         return len(self._sizes)
 
+    @property
+    def labels(self) -> np.ndarray:
+        """labels[key] = minimum key of its orbit (uint32, built on each call)."""
+        return np.array((0,) + self.orbit_ids, dtype=np.uint32)[self.ordinals]
+
     def sizes(self) -> dict[int, int]:
         return dict(self._sizes)
 
     def orbit_of(self, matrix: SpinMatrix) -> int:
         if matrix.g != self.g:
             raise ValueError(f"genus mismatch: {matrix.g} != {self.g}")
-        return int(self.labels[matrix.key()])
+        return self.orbit_ids[int(self.ordinals[matrix.key()]) - 1]
 
 
 def enumerate_orbits(g: int) -> OrbitPartition:
@@ -339,7 +346,7 @@ def sp_transvection_orbits(g: int) -> OrbitPartition:
     sizes = partition.sizes()
     if len(sizes) != 2:
         raise SelfCheckError(f"expected 2 transvection orbits, found {len(sizes)}")
-    if not arf_constant_on_orbits(g, partition.labels):
+    if not arf_constant_on_orbits(partition):
         raise SelfCheckError("a transvection orbit has non-constant Arf")
     by_arf = {
         arf(SpinMatrix.from_key(g, orbit_id)): size for orbit_id, size in sizes.items()

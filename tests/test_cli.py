@@ -189,13 +189,6 @@ def test_verify_strict_turns_skips_into_failures(capsys):
     assert code == EXIT_SKIP_STRICT
 
 
-def test_verify_threads_do_not_change_output(capsys):
-    _, sequential, _ = run(capsys, "verify", "3..4")
-    _, threaded, _ = run(capsys, "verify", "3..4", "--threads", "3")
-    strip = lambda text: [l for l in text.splitlines() if not l.startswith("# elapsed")]
-    assert strip(sequential) == strip(threaded)
-
-
 def test_verify_json_payload(capsys):
     code, out, _ = run(capsys, "verify", "3", "--json")
     assert code == EXIT_OK

@@ -1,5 +1,6 @@
 """Exhaustive enumeration: partitions, censuses, stabilizers, cross-checks."""
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -22,6 +23,8 @@ from hyperspin import (
     verify_isotropy,
 )
 from hyperspin.orbits import (
+    SelfCheckError,
+    _bfs_partition,
     apply_generator_keys,
     arf_constant_on_orbits,
     arf_keys,
@@ -163,6 +166,20 @@ def test_sizes_returns_a_copy(partitions):
     assert part.sizes() == {0: 126, 17: 120, 87: 10}
     assert part.orbit_ids == (0, 17, 87)
     assert part.orbit_count == 3
+
+
+def test_partition_equality_is_identity(partitions):
+    part = partitions[3]
+    assert part == part
+    assert part != enumerate_orbits(3)
+    assert hash(part) == hash(part)
+    assert part in {part}
+
+
+def test_bfs_refuses_a_256th_orbit():
+    # an expand that yields nothing makes every key its own orbit
+    with pytest.raises(SelfCheckError, match="255"):
+        _bfs_partition(300, lambda frontier: iter(()))
 
 
 def _recount(labels: np.ndarray) -> dict[int, int]:
@@ -320,13 +337,14 @@ def test_fixed_matrices_span_several_blocks():
 
 
 def test_arf_check_reads_the_last_block(partition_11):
-    g, labels = 11, partition_11.labels
-    assert arf_constant_on_orbits(g, labels)
-    last = labels.size - 1
-    broken = labels.copy()
-    # key 0 has Arf 0; 1 | 1 << g (one column with both bits set) has Arf 1
-    broken[last] = 0 if arf(SpinMatrix.from_key(g, int(labels[last]))) else 1 | 1 << g
-    assert not arf_constant_on_orbits(g, broken)
+    g, ordinals = 11, partition_11.ordinals
+    assert arf_constant_on_orbits(partition_11)
+    last = ordinals.size - 1
+    seed_arf = [arf(SpinMatrix.from_key(g, seed)) for seed in partition_11.orbit_ids]
+    broken = ordinals.copy()
+    # move the last key into an orbit whose seed has the other Arf value
+    broken[last] = 1 + seed_arf.index(1 - seed_arf[ordinals[last] - 1])
+    assert not arf_constant_on_orbits(dataclasses.replace(partition_11, ordinals=broken))
 
 
 def test_class_agreement_with_partition(partitions):
@@ -355,11 +373,16 @@ def _traced_peak_mb(func, *args) -> float:
 
 def test_key_passes_stream_in_blocks(partition_11):
     # All 2^22 keys at g = 11 would be 16 MB as uint32.
-    labels = partition_11.labels
     assert _traced_peak_mb(fixed_matrices, 11) < 16
-    assert _traced_peak_mb(arf_constant_on_orbits, 11, labels) < 16
+    assert _traced_peak_mb(arf_constant_on_orbits, partition_11) < 16
 
 
 def test_enumeration_peak_is_labels_and_seen_map():
     # labels (16 MB) plus the 1-byte seen map (4 MB) at g = 11
     assert _traced_peak_mb(enumerate_orbits, 11) < 28
+
+
+def test_enumeration_peak_is_the_ordinal_map(partition_11):
+    # the 1-byte ordinal map is 4 MB at g = 11; 4-byte labels would be 16 MB
+    assert partition_11.ordinals.dtype == np.uint8
+    assert _traced_peak_mb(enumerate_orbits, 11) < 8
