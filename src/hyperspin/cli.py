@@ -41,9 +41,10 @@ from .orbits import (
     MAX_ENUMERATION_GENUS,
     MAX_SP_GENUS,
     SelfCheckError,
-    arf_constant_on_orbits,
+    arf_keys,
     census,
     enumerate_orbits,
+    first_disagreement,
     fixed_matrices,
     predicted_orbit_size,
     sp_transvection_orbits,
@@ -54,6 +55,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_SKIP_STRICT = 3
+
+_REDUCE_CAP = 8  # class-agreement reduces every key up to this genus
 
 # Reference traces used by the golden-trace check: input, step words, and
 # the matrices that must appear after each word.
@@ -316,11 +319,12 @@ def _relation_rows(g: int, rng: random.Random) -> list[dict]:
     return [_row(g, "relations", "PASS", f"{checked} cases")]
 
 
-def _verify_genus(g: int, max_g: int, reduce_cap: int) -> list[dict]:
+def _verify_genus(g: int, max_g: int) -> list[dict]:
     rows: list[dict] = []
     can_enumerate = g <= min(max_g, MAX_ENUMERATION_GENUS)
     partition = enumerate_orbits(g) if can_enumerate else None
     expected_orbits = (g + 1) // 2 + 1
+    capped = f"enumeration capped at {max_g}"
 
     if partition is not None:
         sizes = partition.sizes()
@@ -352,28 +356,30 @@ def _verify_genus(g: int, max_g: int, reduce_cap: int) -> list[dict]:
         except SelfCheckError as exc:
             rows.append(_row(g, "orbit-sizes", "FAIL", str(exc)))
             records = ()
-        constant = arf_constant_on_orbits(partition)
+        constant = first_disagreement(partition, lambda keys: arf_keys(g, keys)) is None
         rows.append(
             _row(g, "arf-census", "PASS" if constant else "FAIL", "constant per orbit")
         )
     else:
-        rows.append(_row(g, "orbit-count", "SKIP", f"enumeration capped at {max_g}"))
-        rows.append(_row(g, "orbit-sizes", "SKIP", f"enumeration capped at {max_g}"))
-        rows.append(_row(g, "arf-census", "SKIP", f"enumeration capped at {max_g}"))
+        rows.append(_row(g, "orbit-count", "SKIP", capped))
+        rows.append(_row(g, "orbit-sizes", "SKIP", capped))
+        rows.append(_row(g, "arf-census", "SKIP", capped))
 
     if g >= 3:
-        if partition is not None and g <= reduce_cap:
-            # rep_class[k] is the class of the seed of ordinal k
-            rep_class = [None] + [
-                class_index(SpinMatrix.from_key(g, oid)) for oid in partition.orbit_ids
-            ]
-            bad = next(
-                (
-                    key
-                    for key, ordinal in enumerate(partition.ordinals.tolist())
-                    if class_index(SpinMatrix.from_key(g, key)) != rep_class[ordinal]
+        if partition is None:
+            rows.append(_row(g, "class-agreement", "SKIP", capped))
+        elif g > _REDUCE_CAP:
+            rows.append(
+                _row(g, "class-agreement", "SKIP", f"exhaustive reduction capped at {_REDUCE_CAP}")
+            )
+        else:
+            bad = first_disagreement(
+                partition,
+                lambda keys: np.fromiter(
+                    (class_index(SpinMatrix.from_key(g, int(key))) for key in keys),
+                    dtype=np.uint8,
+                    count=keys.size,
                 ),
-                None,
             )
             rows.append(
                 _row(
@@ -383,16 +389,9 @@ def _verify_genus(g: int, max_g: int, reduce_cap: int) -> list[dict]:
                     "exhaustive" if bad is None else f"disagrees at key {bad}",
                 )
             )
-        else:
-            reason = (
-                f"exhaustive reduction capped at {reduce_cap}"
-                if partition is not None
-                else f"enumeration capped at {max_g}"
-            )
-            rows.append(_row(g, "class-agreement", "SKIP", reason))
 
     # Fixed points: existence/uniqueness by vectorized scan when possible.
-    if g <= MAX_ENUMERATION_GENUS:
+    if can_enumerate:
         fixed = fixed_matrices(g)
         expected = fixed_point_matrix(g)
         ok = (tuple([expected]) == fixed) if expected else (fixed == ())
@@ -440,21 +439,20 @@ def _verify_genus(g: int, max_g: int, reduce_cap: int) -> list[dict]:
 
     rows.extend(_relation_rows(g, random.Random(0xC0FFEE + g)))
 
-    if g <= MAX_SP_GENUS:
+    if g <= MAX_SP_GENUS and partition is None:
+        rows.append(_row(g, "sp-crosscheck", "SKIP", capped))
+    elif g <= MAX_SP_GENUS:
         try:
             sp = sp_transvection_orbits(g)
             detail = " ".join(str(v) for v in sorted(sp.sizes().values(), reverse=True))
-            if partition is not None:
-                # Refinement: each key lies in the sp-orbit of its orbit's seed.
-                seed_sp = sp.ordinals[list(partition.orbit_ids)]
-                if not np.array_equal(seed_sp[partition.ordinals - 1], sp.ordinals):
-                    rows.append(_row(g, "sp-crosscheck", "FAIL", "orbit not contained"))
-                    return rows
-                # Both seed in key order: equal partitions, equal ordinals.
-                if g == 2 and not np.array_equal(sp.ordinals, partition.ordinals):
-                    rows.append(_row(g, "sp-crosscheck", "FAIL", "partitions differ"))
-                    return rows
-            rows.append(_row(g, "sp-crosscheck", "PASS", detail))
+            # Refinement: each key lies in the sp-orbit of its orbit's seed.
+            if first_disagreement(partition, lambda keys: sp.ordinals[keys]) is not None:
+                rows.append(_row(g, "sp-crosscheck", "FAIL", "orbit not contained"))
+            # At g = 2 it also holds the other way round: the partitions are equal.
+            elif g == 2 and first_disagreement(sp, lambda k: partition.ordinals[k]) is not None:
+                rows.append(_row(g, "sp-crosscheck", "FAIL", "partitions differ"))
+            else:
+                rows.append(_row(g, "sp-crosscheck", "PASS", detail))
         except SelfCheckError as exc:
             rows.append(_row(g, "sp-crosscheck", "FAIL", str(exc)))
     return rows
@@ -486,7 +484,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     started = time.time()
 
     rows = [
-        row for g in range(lo, hi + 1) for row in _verify_genus(g, max_g, args.reduce_cap)
+        row for g in range(lo, hi + 1) for row in _verify_genus(g, max_g)
     ]
     rows.extend(_golden_trace_rows())
 
@@ -555,7 +553,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("range", nargs="?", default="3..8")
     p.add_argument("--max-g", type=int, default=MAX_ENUMERATION_GENUS)
-    p.add_argument("--reduce-cap", type=int, default=8, help=argparse.SUPPRESS)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)

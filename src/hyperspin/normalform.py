@@ -21,8 +21,8 @@ first made adjacent by filling the bottom row of the gap and sliding the
 right column's top bit leftwards — kills leftover (1,0) columns at the
 board edges, and finally packs the survivors (which alternate (1,1), (1,0),
 ..., (1,1)) into the leading columns.  The class index is the number of
-surviving (1,1) columns.  Each step asserts its intended effect on the
-matrix and the driver aborts with ReductionInvariantError on any deviation.
+surviving (1,1) columns.  Each step states the exact matrix it must
+produce, and the driver aborts with ReductionInvariantError on any other.
 
 Trace serialization (one step per line): ``<moveName> <word> -> <matrix>``.
 """
@@ -35,7 +35,6 @@ from .braid import Word, _act_letter, apply_word, format_word
 from .gf2 import SpinMatrix
 
 # Column patterns of a 2 x g matrix, named by which bits are set.
-_ZERO = 0
 _FULL = 3  # (1,1)
 _TOP = 1  # (1,0)
 _BOT = 2  # (0,1)
@@ -121,7 +120,6 @@ _GAP = (1, 0, 0)  # (0,0) column
 _SEESAW = (3, 0b101, 0b010)  # columns (1,0), (0,1), (1,0)
 _TWIN_TOPS = (2, 0b11, 0b00)  # columns (1,0), (1,0)
 _CROSS = (2, 0b01, 0b10)  # columns (1,0), (0,1)
-_FULL_COL = (1, 1, 1)  # (1,1) column
 _TOP_COL = (1, 1, 0)  # (1,0) column
 
 
@@ -252,57 +250,47 @@ class _Driver:
         self.bottom = matrix.bottom
         self.steps: list[ReductionStep] = [] if record else None  # type: ignore[assignment]
 
-    def emit(self, name: str, word: Word) -> None:
+    def emit(self, name: str, word: Word, want: tuple[int, int], what: str) -> None:
+        """Apply word; the rows must then be exactly want."""
         g, top, bottom = self.g, self.top, self.bottom
         for i in word:
             top, bottom = _act_letter(g, top, bottom, i)
         self.top, self.bottom = top, bottom
+        if (top, bottom) != want:
+            raise ReductionInvariantError(
+                f"reduction step did not {what} (state {SpinMatrix(g, top, bottom)})"
+            )
         if self.steps is not None:
             self.steps.append(ReductionStep(name, word, SpinMatrix(g, top, bottom)))
 
-    def check(self, condition: bool, what: str) -> None:
-        if not condition:
-            raise ReductionInvariantError(
-                f"reduction step did not {what} "
-                f"(state {SpinMatrix(self.g, self.top, self.bottom)})"
-            )
-
-    def untouched_outside(self, lo: int, hi: int, top: int, bottom: int) -> bool:
-        """Rows agree with (top, bottom) outside columns lo..hi."""
+    def placed(self, lo: int, hi: int, top: int, bottom: int) -> tuple[int, int]:
+        """Current rows with columns lo..hi replaced by (top, bottom), bit 0 at column lo."""
         keep = ~_window(lo, hi)
-        return (self.top & keep) == (top & keep) and (self.bottom & keep) == (bottom & keep)
-
-    def pattern(self, k: int) -> int:
-        return ((self.top >> (k - 1)) & 1) | (((self.bottom >> (k - 1)) & 1) << 1)
-
-    def window_is(self, lo: int, hi: int, value: int) -> bool:
-        """Every column lo..hi has the given pattern."""
-        mask = _window(lo, hi)
-        top = mask if value & _TOP else 0
-        bottom = mask if value & _BOT else 0
-        return (self.top & mask) == top and (self.bottom & mask) == bottom
+        shift = lo - 1
+        return (self.top & keep) | top << shift, (self.bottom & keep) | bottom << shift
 
     # -- verified composite moves ------------------------------------------
 
     def clear_bottom_columns(self, columns: list[int]) -> None:
         """Zero the bottom bit of (0,1) columns; tops are untouched."""
-        old_top = self.top
         named = 0
         for k in columns:
             named |= 1 << (k - 1)
-        self.emit("clear-bottom-columns", tuple(2 * k for k in columns))
-        self.check(self.top == old_top, "leave the top row unchanged")
-        self.check((self.top | self.bottom) & named == 0, "clear the named bottom entries")
+        self.emit(
+            "clear-bottom-columns",
+            tuple(2 * k for k in columns),
+            (self.top & ~named, self.bottom & ~named),
+            "leave the top row unchanged",
+        )
 
     def cancel_full_pair(self, s: int) -> None:
         """Turn adjacent (1,1) columns at s, s+1 into (0,1) columns."""
-        before = (self.top, self.bottom)
-        self.emit("cancel-full-pair", (2 * s + 1,))
-        self.check(
-            self.pattern(s) == _BOT and self.pattern(s + 1) == _BOT,
+        self.emit(
+            "cancel-full-pair",
+            (2 * s + 1,),
+            self.placed(s, s + 1, 0b00, 0b11),
             f"cancel the top entries of columns {s},{s + 1}",
         )
-        self.check(self.untouched_outside(s, s + 1, *before), "stay inside the pair")
 
     def align_full_pair(self, s: int, i: int) -> None:
         """Slide the (1,1) column at i next to the one at s (gap all zero).
@@ -311,58 +299,55 @@ class _Driver:
         column i left to column s+1; afterwards columns s, s+1 are (1,1) and
         s+2..i are (0,1).
         """
-        before = (self.top, self.bottom)
         fill = [2 * k for k in range(s + 1, i)]
         slide = [2 * j + 1 for j in range(i - 1, s, -1)]
-        self.emit("align-full-pair", tuple(fill + slide))
-        self.check(
-            self.pattern(s) == _FULL and self.pattern(s + 1) == _FULL,
+        self.emit(
+            "align-full-pair",
+            tuple(fill + slide),
+            self.placed(s, i, 0b11, (1 << (i - s + 1)) - 1),
             f"bring the far column next to column {s}",
         )
-        self.check(self.window_is(s + 2, i, _BOT), "leave only bottom bits behind")
-        self.check(self.untouched_outside(s, i, *before), "stay inside the gap")
 
     def cancel_top_pair(self, p: int, q: int) -> None:
         """Annihilate (1,0) columns at p < q across an all-zero gap."""
-        before = (self.top, self.bottom)
-        self.emit("cancel-top-pair", tuple(2 * j + 1 for j in range(q - 1, p - 1, -1)))
-        self.check(self.window_is(p, q, _ZERO), f"annihilate the columns {p},{q}")
-        self.check(self.untouched_outside(p, q, *before), "stay inside the gap")
+        self.emit(
+            "cancel-top-pair",
+            tuple(2 * j + 1 for j in range(q - 1, p - 1, -1)),
+            self.placed(p, q, 0, 0),
+            f"annihilate the columns {p},{q}",
+        )
 
     def drop_top_left(self, p: int) -> None:
         """Slide a leading (1,0) column to column 1 and clear it there."""
-        before = (self.top, self.bottom)
-        word = [2 * j + 1 for j in range(p - 1, 0, -1)] + [1]
-        self.emit("drop-top-left", tuple(word))
-        self.check(self.window_is(1, p, _ZERO), "clear the leading column")
-        self.check(self.untouched_outside(1, p, *before), "stay left of the column")
+        word = tuple(2 * j + 1 for j in range(p - 1, 0, -1)) + (1,)
+        self.emit("drop-top-left", word, self.placed(1, p, 0, 0), "clear the leading column")
 
     def drop_top_right(self, p: int) -> None:
         """Slide a trailing (1,0) column to column g and clear it there."""
-        before = (self.top, self.bottom)
-        word = [2 * j + 1 for j in range(p, self.g)] + [2 * self.g + 1]
-        self.emit("drop-top-right", tuple(word))
-        self.check(self.window_is(p, self.g, _ZERO), "clear the trailing column")
-        self.check(self.untouched_outside(p, self.g, *before), "stay right of the column")
+        g = self.g
+        word = tuple(2 * j + 1 for j in range(p, g)) + (2 * g + 1,)
+        self.emit("drop-top-right", word, self.placed(p, g, 0, 0), "clear the trailing column")
 
     def pack_full_column(self, s: int, t: int) -> None:
         """Move a (1,1) column left from s to t through zero columns."""
-        before = (self.top, self.bottom)
         fill = [2 * k for k in range(t, s)]
         slide = [2 * j + 1 for j in range(s - 1, t - 1, -1)]
         clear = [2 * k for k in range(t + 1, s + 1)]
-        self.emit("pack-full-column", tuple(fill + slide + clear))
-        self.check(self.pattern(t) == _FULL, f"land the column on {t}")
-        self.check(self.window_is(t + 1, s, _ZERO), "vacate the crossed columns")
-        self.check(self.untouched_outside(t, s, *before), "stay inside the gap")
+        self.emit(
+            "pack-full-column",
+            tuple(fill + slide + clear),
+            self.placed(t, s, 1, 1),
+            f"land the column on {t}",
+        )
 
     def pack_top_column(self, s: int, t: int) -> None:
         """Move a (1,0) column left from s to t through zero columns."""
-        before = (self.top, self.bottom)
-        self.emit("pack-top-column", tuple(2 * j + 1 for j in range(s - 1, t - 1, -1)))
-        self.check(self.pattern(t) == _TOP, f"land the column on {t}")
-        self.check(self.window_is(t + 1, s, _ZERO), "vacate the crossed columns")
-        self.check(self.untouched_outside(t, s, *before), "stay inside the gap")
+        self.emit(
+            "pack-top-column",
+            tuple(2 * j + 1 for j in range(s - 1, t - 1, -1)),
+            self.placed(t, s, 1, 0),
+            f"land the column on {t}",
+        )
 
 
 def _rightmost_equal_pair(

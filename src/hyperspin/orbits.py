@@ -14,8 +14,9 @@ used for them.
 Memory: a partition is one byte per key, 16 MB at g = 12: the BFS's seen
 map holds each key's orbit ordinal and its orbit sizes are counted as it
 goes; 4-byte minimum-key labels are derived only when asked for.  Every
-other pass over all keys (fixed matrices, the Arf check) walks them in
-blocks of 2^20 keys, so `verify 9..12` peaks at about 60 MB.
+other pass over all keys (fixed matrices and the orbit-invariance passes
+of first_disagreement) walks them in blocks of 2^20 keys, so
+`verify 9..12` peaks at about 60 MB.
 """
 
 from __future__ import annotations
@@ -82,22 +83,25 @@ def _key_blocks(n: int):
         yield np.arange(start, min(start + _KEY_BLOCK, n), dtype=np.uint32)
 
 
-def arf_constant_on_orbits(partition: OrbitPartition) -> bool:
-    """Whether Arf is constant on every orbit of a partition.
+def first_disagreement(partition: OrbitPartition, values) -> int | None:
+    """The least key whose value differs from the value at its orbit's seed.
 
-    An orbit's seed is a member of it, so Arf is constant per orbit exactly
-    when each key has the Arf value of the seed of its ordinal.
+    values maps a uint32 key block to one value per key, and the seeds'
+    values come from it too.  An orbit's seed is a member of it, so None
+    means the value is constant on every orbit.
     """
-    g, ordinals = partition.g, partition.ordinals
-    # ordinal 0 (an unseen key) gets 2, which no key's Arf matches
-    seed_arf = np.array(
-        [2] + [arf(SpinMatrix.from_key(g, seed)) for seed in partition.orbit_ids],
-        dtype=np.uint8,
-    )
-    return all(
-        np.array_equal(arf_keys(g, keys), seed_arf[ordinals[keys[0] : keys[-1] + 1]])
-        for keys in _key_blocks(ordinals.size)
-    )
+    ordinals = partition.ordinals
+    seed_values = values(np.array(partition.orbit_ids, dtype=np.uint32))
+    for keys in _key_blocks(ordinals.size):
+        start = int(keys[0])
+        # Ordinal k is seed k - 1 (an unseen key's 0 wraps to 255, past the
+        # table).  One expression, so no block-sized array outlives its block.
+        bad = np.flatnonzero(
+            values(keys) != seed_values[ordinals[start : start + keys.size] - 1]
+        )
+        if bad.size:
+            return start + int(bad[0])
+    return None
 
 
 def _bfs_partition(n: int, expand) -> tuple[np.ndarray, dict[int, int]]:
@@ -214,7 +218,6 @@ class OrbitRecord:
     stabilizer_order: int
     arf: int
     orbit_id: int
-    representative: SpinMatrix
 
 
 def census(g: int, partition: OrbitPartition | None = None) -> tuple[OrbitRecord, ...]:
@@ -235,9 +238,7 @@ def census(g: int, partition: OrbitPartition | None = None) -> tuple[OrbitRecord
         if group_order % size:
             raise SelfCheckError(f"orbit size {size} does not divide the group order")
         m = class_index(rep) if g >= 3 else None
-        records.append(
-            OrbitRecord(m, size, group_order // size, arf(rep), orbit_id, rep)
-        )
+        records.append(OrbitRecord(m, size, group_order // size, arf(rep), orbit_id))
     if g >= 3:
         records.sort(key=lambda r: r.class_index)
         expected = (g + 1) // 2 + 1
@@ -346,7 +347,7 @@ def sp_transvection_orbits(g: int) -> OrbitPartition:
     sizes = partition.sizes()
     if len(sizes) != 2:
         raise SelfCheckError(f"expected 2 transvection orbits, found {len(sizes)}")
-    if not arf_constant_on_orbits(partition):
+    if first_disagreement(partition, lambda keys: arf_keys(g, keys)) is not None:
         raise SelfCheckError("a transvection orbit has non-constant Arf")
     by_arf = {
         arf(SpinMatrix.from_key(g, orbit_id)): size for orbit_id, size in sizes.items()

@@ -1,12 +1,14 @@
 """Command-line interface: outputs, flags, exit codes."""
 
 import builtins
+import dataclasses
 import json
 import sys
 
+import numpy as np
 import pytest
 
-from hyperspin import cli, predicted_stabilizer_order
+from hyperspin import cli, class_index, predicted_stabilizer_order, sp_transvection_orbits
 from hyperspin.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -14,6 +16,7 @@ from hyperspin.cli import (
     EXIT_USAGE,
     main,
 )
+from hyperspin.orbits import OrbitPartition
 
 
 def run(capsys, *argv):
@@ -182,6 +185,8 @@ def test_verify_skips_above_ceiling(capsys):
     assert code == EXIT_OK
     assert "orbit-count\tSKIP" in out
     assert "normal-forms\tPASS" in out  # symbolic checks still run
+    assert "5\tfixed-point\tPASS\t11111/10101 (fixing only)" in out.splitlines()
+    assert "5\tsp-crosscheck\tSKIP\tenumeration capped at 4" in out.splitlines()
 
 
 def test_verify_strict_turns_skips_into_failures(capsys):
@@ -196,6 +201,34 @@ def test_verify_json_payload(capsys):
     assert payload["failed"] is False
     checks = {row["check"] for row in payload["rows"]}
     assert {"orbit-count", "orbit-sizes", "isotropy", "golden-traces"} <= checks
+
+
+def test_verify_class_agreement_names_the_least_bad_key(capsys, monkeypatch):
+    # keys 20 and 50 are not orbit seeds at g = 3 (those are 0, 9 and 47)
+    monkeypatch.setattr(cli, "class_index", lambda m: class_index(m) + (m.key() in (20, 50)))
+    code, out, _ = run(capsys, "verify", "3")
+    assert code == EXIT_CHECK_FAILED
+    assert "3\tclass-agreement\tFAIL\tdisagrees at key 20" in out.splitlines()
+
+
+def test_verify_sp_crosscheck_fails_on_an_uncontained_orbit(capsys, monkeypatch):
+    sp = sp_transvection_orbits(3)
+    ordinals = sp.ordinals.copy()
+    ordinals[-1] = 3 - ordinals[-1]  # move the last key, not a seed, to the other sp-orbit
+    moved = dataclasses.replace(sp, ordinals=ordinals)
+    monkeypatch.setattr(cli, "sp_transvection_orbits", lambda g: moved)
+    code, out, _ = run(capsys, "verify", "3")
+    assert code == EXIT_CHECK_FAILED
+    assert "3\tsp-crosscheck\tFAIL\torbit not contained" in out.splitlines()
+
+
+def test_verify_sp_crosscheck_fails_when_genus_two_partitions_differ(capsys, monkeypatch):
+    # one sp-orbit holding every key contains both generator orbits, but is not one of them
+    coarse = OrbitPartition(2, np.ones(16, dtype=np.uint8), {0: 16})
+    monkeypatch.setattr(cli, "sp_transvection_orbits", lambda g: coarse)
+    code, out, _ = run(capsys, "verify", "2")
+    assert code == EXIT_CHECK_FAILED
+    assert "2\tsp-crosscheck\tFAIL\tpartitions differ" in out.splitlines()
 
 
 def test_verify_rejects_malformed_range(capsys):

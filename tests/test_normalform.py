@@ -200,6 +200,38 @@ def test_reduction_guards_fire_when_a_letter_does_nothing(monkeypatch):
         reduce_to_canonical(SpinMatrix.from_text("11111/10111"))
 
 
+@pytest.mark.parametrize(
+    "text, move, outside, what",
+    [
+        ("00000/10000", "clear-bottom-columns", 5, "leave the top row unchanged"),
+        ("11000/11000", "cancel-full-pair", 5, "cancel the top entries of columns 1,2"),
+        ("10100/10100", "align-full-pair", 5, "bring the far column next to column 1"),
+        ("11000/00000", "cancel-top-pair", 5, "annihilate the columns 1,2"),
+        ("01000/00000", "drop-top-left", 5, "clear the leading column"),
+        ("11000/10000", "drop-top-right", 1, "clear the trailing column"),
+        ("01000/01000", "pack-full-column", 5, "land the column on 1"),
+        ("10110/10010", "pack-top-column", 5, "land the column on 2"),
+    ],
+)
+@pytest.mark.parametrize("row", ["top", "bottom"])
+def test_reduction_guards_fire_on_a_flip_outside_the_window(
+    monkeypatch, text, move, outside, what, row
+):
+    matrix = SpinMatrix.from_text(text)
+    assert reduce_to_canonical(matrix).steps[0].move == move
+    act = normalform._act_letter
+    flips = [1 << (outside - 1)]
+
+    def act_and_flip_once(g, top, bottom, i):
+        top, bottom = act(g, top, bottom, i)
+        flip = flips.pop() if flips else 0
+        return (top ^ flip, bottom) if row == "top" else (top, bottom ^ flip)
+
+    monkeypatch.setattr(normalform, "_act_letter", act_and_flip_once)
+    with pytest.raises(ReductionInvariantError, match=what):
+        reduce_to_canonical(matrix)
+
+
 # SHA-256 of every trace below, one "<matrix> <class>" line per input and then
 # its step lines.  Any change to a move, word or intermediate matrix moves it.
 TRACE_DIGEST = "1e35e855710d28cd4855d3ff0c9c7635020db0165bb9e41c18cce72a905fb1a3"

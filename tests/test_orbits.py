@@ -26,8 +26,8 @@ from hyperspin.orbits import (
     SelfCheckError,
     _bfs_partition,
     apply_generator_keys,
-    arf_constant_on_orbits,
     arf_keys,
+    first_disagreement,
     twist_keys,
 )
 from hyperspin.braid import apply_generator
@@ -338,13 +338,14 @@ def test_fixed_matrices_span_several_blocks():
 
 def test_arf_check_reads_the_last_block(partition_11):
     g, ordinals = 11, partition_11.ordinals
-    assert arf_constant_on_orbits(partition_11)
+    assert first_disagreement(partition_11, lambda keys: arf_keys(g, keys)) is None
     last = ordinals.size - 1
     seed_arf = [arf(SpinMatrix.from_key(g, seed)) for seed in partition_11.orbit_ids]
     broken = ordinals.copy()
     # move the last key into an orbit whose seed has the other Arf value
     broken[last] = 1 + seed_arf.index(1 - seed_arf[ordinals[last] - 1])
-    assert not arf_constant_on_orbits(dataclasses.replace(partition_11, ordinals=broken))
+    broken_partition = dataclasses.replace(partition_11, ordinals=broken)
+    assert first_disagreement(broken_partition, lambda keys: arf_keys(g, keys)) == last
 
 
 def test_class_agreement_with_partition(partitions):
@@ -374,12 +375,7 @@ def _traced_peak_mb(func, *args) -> float:
 def test_key_passes_stream_in_blocks(partition_11):
     # All 2^22 keys at g = 11 would be 16 MB as uint32.
     assert _traced_peak_mb(fixed_matrices, 11) < 16
-    assert _traced_peak_mb(arf_constant_on_orbits, partition_11) < 16
-
-
-def test_enumeration_peak_is_labels_and_seen_map():
-    # labels (16 MB) plus the 1-byte seen map (4 MB) at g = 11
-    assert _traced_peak_mb(enumerate_orbits, 11) < 28
+    assert _traced_peak_mb(first_disagreement, partition_11, lambda k: arf_keys(11, k)) < 16
 
 
 def test_enumeration_peak_is_the_ordinal_map(partition_11):
