@@ -33,7 +33,6 @@ from .normalform import (
     ReductionInvariantError,
     ReductionStep,
     ReductionTrace,
-    alternating_block,
     canonical_form,
     class_index,
     classify_canonical,
@@ -69,7 +68,6 @@ __all__ = [
     "SelfCheckError",
     "SpinMatrix",
     "Word",
-    "alternating_block",
     "apply_generator",
     "apply_word",
     "arf",

@@ -391,10 +391,10 @@ def _verify_genus(g: int, max_g: int) -> list[dict]:
             )
 
     # Fixed points: existence/uniqueness by vectorized scan when possible.
+    expected = fixed_point_matrix(g)
     if can_enumerate:
         fixed = fixed_matrices(g)
-        expected = fixed_point_matrix(g)
-        ok = (tuple([expected]) == fixed) if expected else (fixed == ())
+        ok = fixed == ((expected,) if expected else ())
         rows.append(
             _row(
                 g,
@@ -403,11 +403,10 @@ def _verify_genus(g: int, max_g: int) -> list[dict]:
                 str(expected) if expected else "none",
             )
         )
-    elif fixed_point_matrix(g) is not None:
-        form = fixed_point_matrix(g)
-        ok = all(apply_generator(form, i) == form for i in range(1, 2 * g + 2))
+    elif expected is not None:
+        ok = all(apply_generator(expected, i) == expected for i in range(1, 2 * g + 2))
         rows.append(
-            _row(g, "fixed-point", "PASS" if ok else "FAIL", f"{form} (fixing only)")
+            _row(g, "fixed-point", "PASS" if ok else "FAIL", f"{expected} (fixing only)")
         )
 
     if g >= 3:

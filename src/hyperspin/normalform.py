@@ -5,6 +5,10 @@ Orbit representatives.  For m >= 1 the alternating block of width 2m-1
 is the canonical representative of the class-m orbit; the all-zero matrix
 represents class 0.  The class index runs 0..ceil(g/2).
 
+Stabilizer forms.  The class-m stabilizer form is defined by its fixing
+set: it is the one matrix fixed by every generator except s_{g+1+2m}, so
+its stabilizer can be read off generator by generator.
+
 Reduction.  The reducer's composite steps are built from five
 single-generator moves, each of which has its effect only under its guard:
 
@@ -49,18 +53,6 @@ def _alternating_bottom(i: int) -> int:
     return ((1 << 2 * i) - 1) // 3
 
 
-def alternating_block(i: int) -> SpinMatrix:
-    """The 2 x (2i-1) block: all-ones top row, bottom row 1,0,1,...,0,1.
-
-    >>> str(alternating_block(2))
-    '111/101'
-    """
-    if i < 1:
-        raise ValueError(f"block index must be >= 1, got {i}")
-    width = 2 * i - 1
-    return SpinMatrix(width, (1 << width) - 1, _alternating_bottom(i))
-
-
 def _max_class(g: int) -> int:
     return (g + 1) // 2
 
@@ -75,10 +67,7 @@ def canonical_form(g: int, m: int) -> SpinMatrix:
         raise ValueError(f"genus must be >= 1, got {g}")
     if not 0 <= m <= _max_class(g):
         raise ValueError(f"class index {m} out of range 0..{_max_class(g)} for genus {g}")
-    if m == 0:
-        return SpinMatrix.zero(g)
-    block = alternating_block(m)
-    return SpinMatrix(g, block.top, block.bottom)
+    return SpinMatrix(g, ((1 << 2 * m) - 1) >> 1, _alternating_bottom(m))
 
 
 def classify_canonical(matrix: SpinMatrix) -> int | None:
@@ -97,39 +86,21 @@ def classify_canonical(matrix: SpinMatrix) -> int | None:
     return m
 
 
-def _concat(blocks: list[tuple[int, int, int]], g: int) -> SpinMatrix:
-    """Join (width, top, bottom) blocks left to right into one matrix."""
-    top = bottom = 0
-    shift = 0
-    for width, t, b in blocks:
-        top |= t << shift
-        bottom |= b << shift
-        shift += width
-    if shift != g:
-        raise AssertionError(f"blocks of total width {shift} for genus {g}")
-    return SpinMatrix(g, top, bottom)
-
-
-def _block(i: int) -> tuple[int, int, int]:
-    b = alternating_block(i)
-    return b.g, b.top, b.bottom
-
-
-# Small glue blocks used by the stabilizer-adapted forms, as (width, top, bottom).
-_GAP = (1, 0, 0)  # (0,0) column
-_SEESAW = (3, 0b101, 0b010)  # columns (1,0), (0,1), (1,0)
-_TWIN_TOPS = (2, 0b11, 0b00)  # columns (1,0), (1,0)
-_CROSS = (2, 0b01, 0b10)  # columns (1,0), (0,1)
-_TOP_COL = (1, 1, 0)  # (1,0) column
-
-
 def stabilizer_form(g: int, m: int) -> SpinMatrix:
-    """A representative of class m whose stabilizer is visible column by column.
+    """The class-m matrix fixed by every generator except s_{g+1+2m}.
 
-    These forms are left-right symmetric up to the middle glue; every
-    generator except s_{g+1+2m} fixes them, and the order-reversing
-    involution additionally fixes the m = 0 form.  The shape depends on
-    g mod 4.
+    A generator fixes a matrix exactly when its move's guard fails: s_{2i}
+    when c(alpha_i) = 1, s_1 when c(beta_1) = 1, s_{2g+1} when c(beta_g) = 1
+    and s_{2k+1} when c(beta_k) != c(beta_{k+1}).  Dropping the guard of
+    s_{g+1+2m} leaves one solution.  With j = (g+1)//2 + m:
+
+    - odd g (s_{2j} moves): the top row is all ones except column j (no
+      exception when j = g+1); the bottom row is 1,0,1,...,0,1;
+    - even g (s_{2j+1} moves): the top row is all ones; the bottom row
+      alternates 1,0,... through column j, and from column j+1 on is 1
+      exactly in the even columns.
+
+    The order-reversing involution additionally fixes the m = 0 form.
 
     >>> str(stabilizer_form(3, 0))
     '101/101'
@@ -142,40 +113,14 @@ def stabilizer_form(g: int, m: int) -> SpinMatrix:
         raise ValueError(f"genus must be >= 3, got {g}")
     if not 0 <= m <= _max_class(g):
         raise ValueError(f"class index {m} out of range 0..{_max_class(g)} for genus {g}")
-    k, r = divmod(g, 4)
-    if r == 3:
-        k += 1  # g = 4k - 1
-        if m == 2 * k:
-            return _concat([_block(2 * k)], g)
-        if m == 2 * k - 1:
-            return _concat([_block(2 * k - 1), _CROSS], g)
-        i = m // 2
-        if m % 2 == 0:
-            return _concat([_block(k + i), _GAP, _block(k - i)], g)
-        return _concat([_block(k + i), _SEESAW, _block(k - i - 1)], g)
-    if r == 1:  # g = 4k + 1
-        if m == 2 * k + 1:
-            return _concat([_block(2 * k + 1)], g)
-        if m == 2 * k:
-            return _concat([_block(2 * k), _CROSS], g)
-        i = m // 2
-        if m % 2 == 0:
-            return _concat([_block(k + i), _SEESAW, _block(k - i)], g)
-        return _concat([_block(k + i + 1), _GAP, _block(k - i)], g)
-    if r == 0:  # g = 4k
-        if m == 2 * k:
-            return _concat([_block(2 * k), _TOP_COL], g)
-        i = m // 2
-        if m % 2 == 0:
-            return _concat([_block(k + i), _TWIN_TOPS, _block(k - i)], g)
-        return _concat([_block(k + i + 1), _block(k - i)], g)
-    # g = 4k + 2
-    if m == 2 * k + 1:
-        return _concat([_block(2 * k + 1), _TOP_COL], g)
-    i = m // 2
-    if m % 2 == 0:
-        return _concat([_block(k + i + 1), _block(k - i + 1)], g)
-    return _concat([_block(k + i + 1), _TWIN_TOPS, _block(k - i)], g)
+    full = (1 << g) - 1
+    j = _max_class(g) + m
+    if g % 2:
+        return SpinMatrix(g, full & ~(1 << j - 1), _alternating_bottom(_max_class(g)))
+    odd_columns = _alternating_bottom(g // 2)
+    head = odd_columns & (1 << j) - 1
+    tail = (full ^ odd_columns) >> j << j
+    return SpinMatrix(g, full, head | tail)
 
 
 def fixed_point_matrix(g: int) -> SpinMatrix | None:

@@ -72,8 +72,10 @@ def twist_keys(g: int, gamma_key: int, keys: np.ndarray) -> np.ndarray:
 
 
 def arf_keys(g: int, keys: np.ndarray) -> np.ndarray:
-    pairs = keys & np.uint32((1 << g) - 1)
-    pairs &= keys >> np.uint32(g)
+    """Vectorized Arf invariant of keys below 2^(2g)."""
+    # keys >> g holds only bits below g, so no mask is needed
+    pairs = keys >> np.uint32(g)
+    pairs &= keys
     return np.bitwise_count(pairs) & 1
 
 

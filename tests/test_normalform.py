@@ -3,6 +3,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,6 @@ from hyperspin import normalform
 from hyperspin import (
     ReductionInvariantError,
     SpinMatrix,
-    alternating_block,
     apply_generator,
     apply_word,
     arf,
@@ -22,6 +22,7 @@ from hyperspin import (
     reduce_to_canonical,
     stabilizer_form,
 )
+from hyperspin.orbits import apply_generator_keys
 
 
 def every_matrix(g):
@@ -34,10 +35,11 @@ def every_matrix(g):
 
 
 def test_alternating_block_shapes():
-    assert str(alternating_block(1)) == "1/1"
-    assert str(alternating_block(2)) == "111/101"
-    assert str(alternating_block(3)) == "11111/10101"
-    block = alternating_block(4)
+    # the width-(2i-1) alternating block is the class-i form at genus 2i-1
+    assert str(canonical_form(1, 1)) == "1/1"
+    assert str(canonical_form(3, 2)) == "111/101"
+    assert str(canonical_form(5, 3)) == "11111/10101"
+    block = canonical_form(7, 4)
     assert block.g == 7
     full = [k for k in range(1, 8) if block.column(k) == (1, 1)]
     tops = [k for k in range(1, 8) if block.column(k) == (1, 0)]
@@ -67,7 +69,7 @@ def test_classify_canonical_spots_representatives_only():
 
 def test_alternating_block_bottom_matches_the_bit_sum():
     for i in range(1, 201):
-        block = alternating_block(i)
+        block = canonical_form(2 * i - 1, i)
         assert block.bottom == sum(1 << k for k in range(0, 2 * i - 1, 2))
         assert block.top == (1 << (2 * i - 1)) - 1
 
@@ -86,24 +88,24 @@ def test_arf_of_representatives_is_class_parity():
 
 
 # ---------------------------------------------------------------------------
-# stabilizer-adapted forms, one case per residue of g mod 4
+# stabilizer-adapted forms, defined by their fixing sets
 
 
 def test_stabilizer_forms_for_each_residue():
-    # g = 3: middle gap column
+    # g = 3: top misses column 2 + m
     assert str(stabilizer_form(3, 0)) == "101/101"
     assert str(stabilizer_form(3, 1)) == "110/101"
     assert str(stabilizer_form(3, 2)) == "111/101"
-    # g = 4: two-top middle glue
+    # g = 4: bottom alternates through column 2 + m, then is 1 in even columns
     assert str(stabilizer_form(4, 0)) == "1111/1001"
     assert str(stabilizer_form(4, 1)) == "1111/1011"
     assert str(stabilizer_form(4, 2)) == "1111/1010"
-    # g = 5: three-column seesaw glue
+    # g = 5: top misses column 3 + m (none for m = 3)
     assert str(stabilizer_form(5, 0)) == "11011/10101"
     assert str(stabilizer_form(5, 1)) == "11101/10101"
     assert str(stabilizer_form(5, 2)) == "11110/10101"
     assert str(stabilizer_form(5, 3)) == "11111/10101"
-    # g = 6: two abutting blocks
+    # g = 6: bottom alternates through column 3 + m, then is 1 in even columns
     assert str(stabilizer_form(6, 0)) == "111111/101101"
     assert str(stabilizer_form(6, 1)) == "111111/101001"
     assert str(stabilizer_form(6, 2)) == "111111/101011"
@@ -111,6 +113,34 @@ def test_stabilizer_forms_for_each_residue():
     # g = 7 spot checks
     assert str(stabilizer_form(7, 0)) == "1110111/1010101"
     assert str(stabilizer_form(7, 4)) == "1111111/1010101"
+
+
+def test_stabilizer_form_is_the_unique_matrix_with_its_fixing_set():
+    # Oracle independent of the formula: scan every key with the vectorized
+    # generator action and collect the keys whose fixing set is all
+    # generators but s_{g+1+2m} (all generators when that index is 2g+2).
+    for g in range(3, 9):
+        keys = np.arange(1 << (2 * g), dtype=np.uint32)
+        fixes = {i: apply_generator_keys(g, i, keys) == keys for i in range(1, 2 * g + 2)}
+        for m in range((g + 1) // 2 + 1):
+            special = g + 1 + 2 * m
+            mask = ~fixes[special] if special in fixes else np.ones(keys.size, dtype=bool)
+            for i, fixed in fixes.items():
+                if i != special:
+                    mask &= fixed
+            assert np.flatnonzero(mask).tolist() == [stabilizer_form(g, m).key()], (g, m)
+
+
+# SHA-256 (UTF-8) of every stabilizer form's text for g = 3..200, one form
+# per line in order of g, then m.
+STABILIZER_FORMS_DIGEST = "9379f8b8d4ff12bb4dd50c394576e9532b9ecde5c614ec36efb10401a99aeea7"
+
+
+def test_stabilizer_forms_are_pinned():
+    text = "\n".join(
+        str(stabilizer_form(g, m)) for g in range(3, 201) for m in range((g + 1) // 2 + 1)
+    )
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == STABILIZER_FORMS_DIGEST
 
 
 def test_stabilizer_form_rejects_bad_input():
