@@ -2,6 +2,7 @@
 
 import builtins
 import dataclasses
+import hashlib
 import json
 import sys
 
@@ -16,7 +17,7 @@ from hyperspin.cli import (
     EXIT_USAGE,
     main,
 )
-from hyperspin.orbits import OrbitPartition
+from hyperspin.orbits import OrbitPartition, SelfCheckError
 
 
 def run(capsys, *argv):
@@ -66,9 +67,10 @@ def test_classify_rejects_parse_failures(capsys):
 
 
 def test_classify_rejects_small_genus(capsys):
-    code, _, err = run(capsys, "classify", "2", "11/10")
-    assert code == EXIT_USAGE
-    assert "genus" in err
+    for argv in (("classify", "2", "11/10"), ("reduce", "2", "11/10"), ("isotropy", "2", "0")):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert "genus" in err
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +189,11 @@ def test_verify_skips_above_ceiling(capsys):
     assert "normal-forms\tPASS" in out  # symbolic checks still run
     assert "5\tfixed-point\tPASS\t11111/10101 (fixing only)" in out.splitlines()
     assert "5\tsp-crosscheck\tSKIP\tenumeration capped at 4" in out.splitlines()
+    # a --max-g above the hard ceiling of 12 acts as 12, and the notice says so
+    code, out, _ = run(capsys, "verify", "13", "--max-g", "20")
+    assert code == EXIT_OK
+    assert "13\torbit-count\tSKIP\tenumeration capped at 12" in out.splitlines()
+    assert "capped at 20" not in out
 
 
 def test_verify_strict_turns_skips_into_failures(capsys):
@@ -229,6 +236,39 @@ def test_verify_sp_crosscheck_fails_when_genus_two_partitions_differ(capsys, mon
     code, out, _ = run(capsys, "verify", "2")
     assert code == EXIT_CHECK_FAILED
     assert "2\tsp-crosscheck\tFAIL\tpartitions differ" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        # every genus gate: g < 3, the sp-crosscheck ceiling, the enumeration cap
+        (
+            ["verify", "1..14", "--max-g", "4"],
+            "0d019985103568db970772f5f8519811cd03f7147808ecd8051a826bc420a5ab",
+        ),
+        # the exhaustive-reduction cap of class-agreement
+        (["verify", "9"], "48b7b0044c2e71ec219b5dcaffd4571347c9caec637e9df9ddfe50ed5f546c43"),
+    ],
+)
+def test_verify_rows_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    lines = [line for line in out.splitlines() if not line.startswith("# elapsed")]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+def test_verify_self_check_failure_is_a_fail_row(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "census", _raise(SelfCheckError))
+    code, out, _ = run(capsys, "verify", "3")
+    assert code == EXIT_CHECK_FAILED
+    lines = out.splitlines()
+    failed = "3\torbit-sizes\tFAIL\tinjected failure"
+    assert failed in lines
+    later = [line.split("\t")[1] for line in lines[lines.index(failed) + 1 : -1]]
+    assert later == [
+        "arf-census", "class-agreement", "fixed-point", "normal-forms",
+        "isotropy", "relations", "sp-crosscheck", "golden-traces",
+    ]
 
 
 def test_verify_rejects_malformed_range(capsys):
