@@ -17,7 +17,6 @@ from .braid import (
     flip_word,
     format_word,
     generator_class,
-    parse_word,
     permutation_of_word,
     word_for_permutation,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "format_word",
     "generator_class",
     "intersection",
-    "parse_word",
     "permutation_of_word",
     "predicted_orbit_size",
     "predicted_stabilizer_order",

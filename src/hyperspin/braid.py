@@ -21,8 +21,7 @@ Words act on the right and are applied left to right:
 M o (w1 w2) = (M o w1) o w2.  This convention is pinned by golden traces in
 the test suite; the reverse order does not reproduce them.
 
-Word text format: comma-separated generator indices, e.g. ``8,10``.
-Permutation text format: one-line image list, e.g. ``2 1 3 4``.
+Words print as comma-separated generator indices, e.g. ``8,10``.
 """
 
 from __future__ import annotations
@@ -117,7 +116,7 @@ def flip_word(g: int) -> Word:
 class Permutation:
     """A bijection of {1..n} stored as its image list (1-based).
 
-    >>> p = Permutation.from_text("2 1 3 4")
+    >>> p = Permutation((2, 1, 3, 4))
     >>> p(1), p(2)
     (2, 1)
     """
@@ -173,17 +172,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(1, n + 1)))
 
-    @classmethod
-    def from_text(cls, text: str) -> "Permutation":
-        try:
-            images = tuple(int(part) for part in text.split())
-        except ValueError as exc:
-            raise ValueError(f"permutation text must be integers: {text!r}") from exc
-        return cls(images)
-
-    def to_text(self) -> str:
-        return " ".join(str(v) for v in self.images)
-
 
 def permutation_of_word(word: Iterable[int], g: int) -> Permutation:
     """Project a word to the permutation it induces on the 2g+2 points.
@@ -227,17 +215,6 @@ def word_for_permutation(p: Permutation) -> Word:
                 changed = True
     # appended sorts p to the identity, so p itself is the reverse word.
     return tuple(reversed(appended))
-
-
-def parse_word(text: str) -> Word:
-    """Parse a comma-separated generator word; empty text is the empty word."""
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"word text must be comma-separated integers: {text!r}") from exc
 
 
 def format_word(word: Sequence[int]) -> str:

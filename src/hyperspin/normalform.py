@@ -321,10 +321,6 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
     if g < 3:
         raise ValueError(f"reduction needs genus >= 3, got {g}")
 
-    ready = classify_canonical(matrix)
-    if ready is not None:
-        return ReductionTrace(matrix, (), ready)
-
     drv = _Driver(matrix, record)
 
     columns = _column_kinds(drv.top, drv.bottom)

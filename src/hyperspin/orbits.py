@@ -7,7 +7,9 @@ to the enumeration ceiling g = 12 (2^24 states, ~4e8 edge traversals).
 
 Determinism: orbits are seeded in increasing key order and labelled by
 their minimum packed key, so the partition, census and all derived tables
-are bit-reproducible.  Stabilizer orders are exact integers throughout;
+are bit-reproducible.  Each orbit's minimum key is its canonical form: the
+m-th orbit found is seeded by canonical_form(g, m), which census checks for
+every g >= 1.  Stabilizer orders are exact integers throughout;
 (2g+2)! overflows 64 bits from g = 10 on, so no fixed-width arithmetic is
 used for them.
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from .braid import apply_generator, apply_word, flip_word, generator_class
 from .gf2 import SpinMatrix, arf
-from .normalform import class_index, stabilizer_form
+from .normalform import canonical_form, stabilizer_form
 
 MAX_ENUMERATION_GENUS = 12
 MAX_SP_GENUS = 6
@@ -106,20 +108,22 @@ def first_disagreement(partition: OrbitPartition, values) -> int | None:
     return None
 
 
-def _bfs_partition(n: int, expand) -> tuple[np.ndarray, dict[int, int]]:
-    """Orbit ordinals and sizes of the partition generated by expand(frontier).
+def _bfs_partition(g: int, classes) -> tuple[np.ndarray, dict[int, int]]:
+    """Orbit ordinals and sizes of the partition under twists about classes.
 
+    The BFS runs on twist classes: each frontier is pushed through
+    twist_keys(g, gamma_key, frontier) for every packed class gamma_key.
     ordinals[key] = k puts key in the k-th orbit found and 0 marks it
     unseen, so one uint8 map is both the partition and the seen test of the
     per-edge gather.  Seeds are found by scanning it for its next 0, so in
     increasing key order, and each is the minimum key of its orbit.  No
-    batch needs a dedupe: every map expand yields is a twist, hence an
-    involution and injective, so its images of a duplicate-free frontier
-    hold no repeats, and marking each batch before the next map runs keeps
-    out keys that two maps both reach.  sizes maps each seed to its orbit's
-    size, so its k-th key is the seed of ordinal k.
+    batch needs a dedupe: a twist is an involution, hence injective, so its
+    images of a duplicate-free frontier hold no repeats, and marking each
+    batch before the next twist runs keeps out keys that two twists both
+    reach.  sizes maps each seed to its orbit's size, so its k-th key is the
+    seed of ordinal k.
     """
-    ordinals = np.zeros(n, dtype=np.uint8)
+    ordinals = np.zeros(1 << (2 * g), dtype=np.uint8)
     sizes: dict[int, int] = {}
     seed = 0
     while True:
@@ -134,7 +138,8 @@ def _bfs_partition(n: int, expand) -> tuple[np.ndarray, dict[int, int]]:
         frontier = np.array([seed], dtype=np.uint32)
         while frontier.size:
             fresh = []
-            for images in expand(frontier):
+            for gamma_key in classes:
+                images = twist_keys(g, gamma_key, frontier)
                 new = images[np.take(ordinals, images) == 0]
                 if new.size:
                     ordinals[new] = ordinal
@@ -187,13 +192,9 @@ def enumerate_orbits(g: int) -> OrbitPartition:
     {0: 35, 9: 28, 47: 1}
     """
     _check_enumeration_genus(g)
-    generators = list(range(1, 2 * g + 2))
-
-    def expand(frontier: np.ndarray):
-        for i in generators:
-            yield apply_generator_keys(g, i, frontier)
-
-    partition = OrbitPartition(g, *_bfs_partition(1 << (2 * g), expand))
+    gammas = (generator_class(i, g) for i in range(1, 2 * g + 2))
+    classes = [gamma.a | gamma.b << g for gamma in gammas]
+    partition = OrbitPartition(g, *_bfs_partition(g, classes))
     if sum(partition.sizes().values()) != 1 << (2 * g):
         raise SelfCheckError("orbit sizes do not sum to the state count")
     return partition
@@ -225,41 +226,37 @@ class OrbitRecord:
 def census(g: int, partition: OrbitPartition | None = None) -> tuple[OrbitRecord, ...]:
     """Join the orbit partition with class indices, Arf values and exact orders.
 
-    For g >= 3 each orbit size is checked against the binomial prediction;
-    a mismatch raises SelfCheckError since it would contradict the
-    classification the package exists to verify.
+    Each orbit's minimum key is its canonical form: the seed of the m-th
+    orbit found must be canonical_form(g, m).key(), so orbit m is class m.
+    For every g >= 1 each orbit's size must divide (2g+2)! and equal the
+    binomial prediction, and its seed's Arf must be m mod 2; any mismatch
+    raises SelfCheckError since it would contradict the classification the
+    package exists to verify.  Records are in seed order, which is class
+    order; class_index is None below genus 3, where reduction is undefined.
     """
     if partition is None:
         partition = enumerate_orbits(g)
     elif partition.g != g:
         raise ValueError(f"partition is for genus {partition.g}, not {g}")
+    forms = tuple(canonical_form(g, m).key() for m in range((g + 1) // 2 + 1))
+    if partition.orbit_ids != forms:
+        raise SelfCheckError(
+            f"orbit seeds {partition.orbit_ids} are not the canonical forms {forms}"
+        )
     group_order = math.factorial(2 * g + 2)
     records = []
-    for orbit_id, size in partition.sizes().items():
-        rep = SpinMatrix.from_key(g, orbit_id)
+    for m, (orbit_id, size) in enumerate(partition.sizes().items()):
         if group_order % size:
             raise SelfCheckError(f"orbit size {size} does not divide the group order")
-        m = class_index(rep) if g >= 3 else None
-        records.append(OrbitRecord(m, size, group_order // size, arf(rep), orbit_id))
-    if g >= 3:
-        records.sort(key=lambda r: r.class_index)
-        expected = (g + 1) // 2 + 1
-        if [r.class_index for r in records] != list(range(expected)):
+        if size != predicted_orbit_size(g, m):
             raise SelfCheckError(
-                f"class indices {[r.class_index for r in records]} are not 0..{expected - 1}"
+                f"orbit {m} has size {size}, predicted {predicted_orbit_size(g, m)}"
             )
-        for record in records:
-            if record.size != predicted_orbit_size(g, record.class_index):
-                raise SelfCheckError(
-                    f"orbit {record.class_index} has size {record.size}, "
-                    f"predicted {predicted_orbit_size(g, record.class_index)}"
-                )
-            if record.arf != record.class_index % 2:
-                raise SelfCheckError(
-                    f"orbit {record.class_index} has Arf {record.arf}"
-                )
-    else:
-        records.sort(key=lambda r: r.orbit_id)
+        rep_arf = arf(SpinMatrix.from_key(g, orbit_id))
+        if rep_arf != m % 2:
+            raise SelfCheckError(f"orbit {m} has Arf {rep_arf}")
+        index = m if g >= 3 else None
+        records.append(OrbitRecord(index, size, group_order // size, rep_arf, orbit_id))
     return tuple(records)
 
 
@@ -338,14 +335,7 @@ def sp_transvection_orbits(g: int) -> OrbitPartition:
         raise ValueError(
             f"transvection enumeration supports 1 <= g <= {MAX_SP_GENUS}; got {g}"
         )
-    n = 1 << (2 * g)
-    gammas = range(1, n)
-
-    def expand(frontier: np.ndarray):
-        for gamma_key in gammas:
-            yield twist_keys(g, gamma_key, frontier)
-
-    partition = OrbitPartition(g, *_bfs_partition(n, expand))
+    partition = OrbitPartition(g, *_bfs_partition(g, range(1, 1 << (2 * g))))
     sizes = partition.sizes()
     if len(sizes) != 2:
         raise SelfCheckError(f"expected 2 transvection orbits, found {len(sizes)}")

@@ -30,7 +30,6 @@ EXPORTED = [
     "format_word",
     "generator_class",
     "intersection",
-    "parse_word",
     "permutation_of_word",
     "predicted_orbit_size",
     "predicted_stabilizer_order",
@@ -43,7 +42,7 @@ EXPORTED = [
 
 
 def test_exported_names_are_pinned():
-    assert len(EXPORTED) == 36
+    assert len(EXPORTED) == 35
     assert sorted(hyperspin.__all__) == sorted(EXPORTED)
     assert len(set(hyperspin.__all__)) == len(hyperspin.__all__)
 

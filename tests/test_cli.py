@@ -122,6 +122,24 @@ def test_orbits_table_genus_three(capsys):
     assert "3\t2\t1\t40320\t0\t1\tyes" in lines
 
 
+def test_orbits_table_below_the_classified_range(capsys):
+    # no class index below genus 3: m, the prediction and the match are blank
+    code, out, _ = run(capsys, "orbits", "2")
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "g\tm\tsize\tstabilizer_order\tarf\tbinomial_predicted\tmatch",
+        "2\t-\t10\t72\t0\t\t-",
+        "2\t-\t6\t120\t1\t\t-",
+    ]
+    code, out, _ = run(capsys, "orbits", "1", "--json")
+    assert code == EXIT_OK
+    assert out == (
+        '[{"arf": 0, "binomial_predicted": "", "g": 1, "m": "-", "match": "-", '
+        '"size": 3, "stabilizer_order": 8}, {"arf": 1, "binomial_predicted": "", '
+        '"g": 1, "m": "-", "match": "-", "size": 1, "stabilizer_order": 24}]\n'
+    )
+
+
 def test_orbits_rejects_oversized_genus(capsys):
     assert run(capsys, "orbits", "13")[0] == EXIT_USAGE
 

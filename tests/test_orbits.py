@@ -11,6 +11,7 @@ import pytest
 from hyperspin import (
     SpinMatrix,
     arf,
+    canonical_form,
     census,
     class_index,
     enumerate_orbits,
@@ -23,6 +24,7 @@ from hyperspin import (
     verify_isotropy,
 )
 from hyperspin.orbits import (
+    OrbitPartition,
     SelfCheckError,
     _bfs_partition,
     apply_generator_keys,
@@ -99,12 +101,17 @@ def test_orbit_sizes_small_genus(partitions):
     assert sorted(partitions[5].sizes().values(), reverse=True) == [495, 462, 66, 1]
 
 
-def test_orbit_ids_are_minimum_keys(partitions):
+def test_orbit_ids_are_minimum_keys(partitions, partition_11):
     part = partitions[3]
     labels = part.labels
     for orbit_id in part.orbit_ids:
         members = np.flatnonzero(labels == orbit_id)
         assert int(members.min()) == orbit_id
+    # the m-th orbit found is seeded by the class-m canonical form
+    for part in [*partitions.values(), partition_11]:
+        g = part.g
+        forms = tuple(canonical_form(g, m).key() for m in range((g + 1) // 2 + 1))
+        assert part.orbit_ids == forms, g
 
 
 def test_orbit_labels_are_action_invariant(partitions):
@@ -177,9 +184,9 @@ def test_partition_equality_is_identity(partitions):
 
 
 def test_bfs_refuses_a_256th_orbit():
-    # an expand that yields nothing makes every key its own orbit
+    # no twist classes make every key its own orbit
     with pytest.raises(SelfCheckError, match="255"):
-        _bfs_partition(300, lambda frontier: iter(()))
+        _bfs_partition(5, ())
 
 
 def _recount(labels: np.ndarray) -> dict[int, int]:
@@ -231,6 +238,18 @@ def test_census_below_classified_range_has_no_class_indices(partitions):
     records = census(2, partitions[2])
     assert [r.class_index for r in records] == [None, None]
     assert sorted(r.size for r in records) == [6, 10]
+
+
+def test_census_rejects_seeds_or_sizes_off_the_canonical_forms(partitions):
+    p = partitions[3]
+    # the same orbits found in the wrong order: the seeds are not class order
+    reordered = OrbitPartition(3, p.ordinals, dict(reversed(p.sizes().items())))
+    with pytest.raises(SelfCheckError, match="canonical forms"):
+        census(3, reordered)
+    # right seeds, but sizes that divide 6! = 720 and miss the binomials
+    p = partitions[2]
+    with pytest.raises(SelfCheckError, match="predicted 10"):
+        census(2, OrbitPartition(2, p.ordinals, {0: 8, 5: 8}))
 
 
 def test_predicted_stabilizer_orders():
