@@ -10,15 +10,12 @@ cross-check against the full transvection action.
 """
 
 from .braid import (
-    Permutation,
     Word,
     apply_generator,
     apply_word,
     flip_word,
     format_word,
     generator_class,
-    permutation_of_word,
-    word_for_permutation,
 )
 from .gf2 import (
     HomologyClass,
@@ -60,7 +57,6 @@ __all__ = [
     "IsotropyReport",
     "OrbitPartition",
     "OrbitRecord",
-    "Permutation",
     "ReductionInvariantError",
     "ReductionStep",
     "ReductionTrace",
@@ -83,12 +79,10 @@ __all__ = [
     "format_word",
     "generator_class",
     "intersection",
-    "permutation_of_word",
     "predicted_orbit_size",
     "predicted_stabilizer_order",
     "reduce_to_canonical",
     "sp_transvection_orbits",
     "stabilizer_form",
     "verify_isotropy",
-    "word_for_permutation",
 ]

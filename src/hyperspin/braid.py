@@ -22,11 +22,15 @@ M o (w1 w2) = (M o w1) o w2.  This convention is pinned by golden traces in
 the test suite; the reverse order does not reproduce them.
 
 Words print as comma-separated generator indices, e.g. ``8,10``.
+
+This module is the generator action and nothing else: the twist classes,
+the letter action on packed rows, words of letters and the flip word.  It
+holds no permutations of the points; that the action factors through
+S_{2g+2} is checked through the Coxeter relations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .gf2 import HomologyClass, SpinMatrix
@@ -110,111 +114,6 @@ def flip_word(g: int) -> Word:
         rising = list(range(i, 2 * g + 2 - i))
         letters += rising + [2 * g + 2 - i] + rising[::-1]
     return tuple(letters)
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {1..n} stored as its image list (1-based).
-
-    >>> p = Permutation((2, 1, 3, 4))
-    >>> p(1), p(2)
-    (2, 1)
-    """
-
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if n < 1 or sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection of 1..{n}: {self.images}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, x: int) -> int:
-        return self.images[x - 1]
-
-    def is_identity(self) -> bool:
-        return all(v == k for k, v in enumerate(self.images, start=1))
-
-    def then(self, other: "Permutation") -> "Permutation":
-        """Right-action composition: apply self first, then other."""
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return Permutation(tuple(other.images[v - 1] for v in self.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for k, v in enumerate(self.images, start=1):
-            inv[v - 1] = k
-        return Permutation(tuple(inv))
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Disjoint cycles (fixed points omitted), lowest entry first."""
-        seen = [False] * (self.degree + 1)
-        out = []
-        for start in range(1, self.degree + 1):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            nxt = self(start)
-            while nxt != start:
-                cyc.append(nxt)
-                seen[nxt] = True
-                nxt = self(nxt)
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-
-def permutation_of_word(word: Iterable[int], g: int) -> Permutation:
-    """Project a word to the permutation it induces on the 2g+2 points.
-
-    Letters compose in the same left-to-right order used by apply_word.
-    """
-    n = 2 * g + 2
-    images = list(range(1, n + 1))
-    for i in word:
-        if not 1 <= i <= 2 * g + 1:
-            raise ValueError(f"generator index {i} out of range 1..{2 * g + 1}")
-        # Appending s_i post-composes with (i, i+1): swap the two image values.
-        for idx, v in enumerate(images):
-            if v == i:
-                images[idx] = i + 1
-            elif v == i + 1:
-                images[idx] = i
-    return Permutation(tuple(images))
-
-
-def word_for_permutation(p: Permutation) -> Word:
-    """A word of adjacent transpositions realizing p (bubble-sort order).
-
-    Deterministic; length at most n(n-1)/2.  Round-trip:
-    permutation_of_word(word_for_permutation(p), g) == p.
-    """
-    n = p.degree
-    if n % 2 or n < 4:
-        raise ValueError(f"degree must be 2g+2 >= 4, got {n}")
-    pos = [0] * (n + 1)
-    for idx, v in enumerate(p.images):
-        pos[v] = idx
-    appended: list[int] = []
-    changed = True
-    while changed:
-        changed = False
-        for v in range(1, n):
-            if pos[v] > pos[v + 1]:
-                pos[v], pos[v + 1] = pos[v + 1], pos[v]
-                appended.append(v)
-                changed = True
-    # appended sorts p to the identity, so p itself is the reverse word.
-    return tuple(reversed(appended))
 
 
 def format_word(word: Sequence[int]) -> str:

@@ -27,6 +27,10 @@ The orbit partition is enumerated once per genus up to min(--max-g, 12);
 above that the checks that read it print SKIP.  A failed self-check
 (SelfCheckError) in a check is a FAIL row.
 
+``isotropy`` and ``fixed-point`` refuse a genus above MAX_SYMBOLIC_GENUS
+(1000) with exit 2 before computing anything; ``orbits`` refuses one above
+the enumeration ceiling (12) the same way.
+
 Exit codes: 0 all passed, 1 check failure, 2 usage or parse error,
 3 a resource skip occurred under --strict.
 """
@@ -72,6 +76,11 @@ EXIT_SKIP_STRICT = 3
 
 _REDUCE_CAP = 8  # class-agreement reduces every key up to this genus
 
+# The greatest genus isotropy and fixed-point accept.  Their work grows
+# with the genus without bound (flip_word(g) has (g+1)^2 letters);
+# isotropy 1000 0 takes a few seconds and peaks at about 90 MB.
+MAX_SYMBOLIC_GENUS = 1000
+
 # Reference traces used by the golden-trace check: input, step words, and
 # the matrices that must appear after each word.
 _GOLDEN_TRACES = (
@@ -97,13 +106,15 @@ class UsageError(Exception):
     pass
 
 
-def _parse_genus(text: str, minimum: int = 1) -> int:
+def _parse_genus(text: str, minimum: int = 1, maximum: int | None = None) -> int:
     try:
         g = int(text)
     except ValueError as exc:
         raise UsageError(f"genus must be an integer, got {text!r}") from exc
     if g < minimum:
         raise UsageError(f"genus must be >= {minimum}, got {g}")
+    if maximum is not None and g > maximum:
+        raise UsageError(f"genus must be <= {maximum} for this command, got {g}")
     return g
 
 
@@ -205,9 +216,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
-    g = _parse_genus(args.g)
-    if g > MAX_ENUMERATION_GENUS:
-        raise UsageError(f"enumeration is capped at genus {MAX_ENUMERATION_GENUS}")
+    g = _parse_genus(args.g, maximum=MAX_ENUMERATION_GENUS)
     records = census(g)
     rows = []
     for record in records:
@@ -229,7 +238,7 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
 
 
 def _cmd_isotropy(args: argparse.Namespace) -> int:
-    g = _parse_genus(args.g, minimum=3)
+    g = _parse_genus(args.g, minimum=3, maximum=MAX_SYMBOLIC_GENUS)
     try:
         m = int(args.m)
     except ValueError as exc:
@@ -258,7 +267,7 @@ def _cmd_isotropy(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixed_point(args: argparse.Namespace) -> int:
-    g = _parse_genus(args.g)
+    g = _parse_genus(args.g, maximum=MAX_SYMBOLIC_GENUS)
     matrix = fixed_point_matrix(g)
     if args.json:
         print(json.dumps({"g": g, "fixed": str(matrix) if matrix else None}))
@@ -456,8 +465,9 @@ def _check_golden_traces() -> tuple[str, str]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.range)
     max_g = args.max_g
-    if max_g < 1:
-        raise UsageError("--max-g must be >= 1")
+    # argparse passes "--max-g=--" through as an empty list
+    if not isinstance(max_g, int) or max_g < 1:
+        raise UsageError("--max-g must be an integer >= 1")
     started = time.perf_counter()
 
     rows = [

@@ -1,4 +1,5 @@
-"""Generator actions, words, permutations, and the flip involution."""
+"""Generator actions, words, and the flip involution; words are projected to
+the points by the test helper ``points``."""
 
 import random
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from hyperspin import (
     HomologyClass,
-    Permutation,
     SpinMatrix,
     apply_generator,
     apply_word,
@@ -17,9 +17,8 @@ from hyperspin import (
     flip_word,
     format_word,
     generator_class,
-    permutation_of_word,
-    word_for_permutation,
 )
+from points import bubble_word, cycles, images_of_word
 
 
 def every_matrix(g):
@@ -193,19 +192,19 @@ def test_arf_is_constant_along_words(data):
 
 def test_flip_word_for_genus_one():
     assert flip_word(1) == (1, 2, 3, 2, 1, 2)
-    assert permutation_of_word(flip_word(1), 1).images == (4, 3, 2, 1)
+    assert images_of_word(flip_word(1), 1) == (4, 3, 2, 1)
 
 
 def test_flip_permutation_reverses_the_points():
     for g in range(1, 9):
-        perm = permutation_of_word(flip_word(g), g)
         n = 2 * g + 2
-        assert perm.images == tuple(n + 1 - x for x in range(1, n + 1))
-        assert perm.then(perm).is_identity()
+        images = images_of_word(flip_word(g), g)
+        assert images == tuple(n + 1 - p for p in range(1, n + 1))
+        assert images_of_word(flip_word(g) * 2, g) == tuple(range(1, n + 1))
 
 
 def test_flip_of_genus_three_is_the_full_reversal():
-    assert permutation_of_word(flip_word(3), 3).cycles() == [
+    assert cycles(images_of_word(flip_word(3), 3)) == [
         (1, 8),
         (2, 7),
         (3, 6),
@@ -214,29 +213,20 @@ def test_flip_of_genus_three_is_the_full_reversal():
 
 
 # ---------------------------------------------------------------------------
-# permutations
+# words projected to the points
 
 
 def test_single_letter_permutation():
-    assert permutation_of_word((1,), 1).images == (2, 1, 3, 4)
+    assert images_of_word((1,), 1) == (2, 1, 3, 4)
 
 
 def test_braid_words_give_the_same_permutation():
-    assert permutation_of_word((1, 2, 1), 1) == permutation_of_word((2, 1, 2), 1)
-    assert permutation_of_word((1, 2, 1), 1).cycles() == [(1, 3)]
+    assert images_of_word((1, 2, 1), 1) == images_of_word((2, 1, 2), 1)
+    assert cycles(images_of_word((1, 2, 1), 1)) == [(1, 3)]
 
 
 def test_empty_word_is_identity_permutation():
-    assert permutation_of_word((), 2).is_identity()
-
-
-def test_word_for_identity_is_empty():
-    assert word_for_permutation(Permutation.identity(8)) == ()
-
-
-def test_word_for_adjacent_transposition():
-    swap = Permutation((2, 1, 3, 4))
-    assert word_for_permutation(swap) == (1,)
+    assert images_of_word((), 2) == (1, 2, 3, 4, 5, 6)
 
 
 @settings(max_examples=300, deadline=None)
@@ -244,11 +234,22 @@ def test_word_for_adjacent_transposition():
 def test_word_for_permutation_round_trip(data):
     g = data.draw(st.integers(1, 8))
     n = 2 * g + 2
-    images = data.draw(st.permutations(list(range(1, n + 1))))
-    p = Permutation(tuple(images))
-    word = word_for_permutation(p)
+    images = tuple(data.draw(st.permutations(list(range(1, n + 1)))))
+    word = bubble_word(images)
     assert len(word) <= n * (n - 1) // 2
-    assert permutation_of_word(word, g) == p
+    assert images_of_word(word, g) == images
+
+
+def cycle_word(images):
+    """A second decomposition: adjacent palindromes over the cycles,
+    cycle (c1 c2 ... ck) written as (c1 c2)(c1 c3)...(c1 ck)."""
+    word = []
+    for cycle in cycles(images):
+        for b in cycle[1:]:
+            lo, hi = min(cycle[0], b), max(cycle[0], b)
+            rising = list(range(lo, hi - 1))
+            word += rising + [hi - 1] + rising[::-1]
+    return tuple(word)
 
 
 def test_action_factors_through_the_permutation():
@@ -256,38 +257,13 @@ def test_action_factors_through_the_permutation():
     rng = random.Random(7)
     for _ in range(100):
         g = rng.randrange(2, 7)
-        n = 2 * g + 2
-        images = list(range(1, n + 1))
+        images = list(range(1, 2 * g + 3))
         rng.shuffle(images)
-        p = Permutation(tuple(images))
-        word1 = word_for_permutation(p)
-        # a second decomposition: adjacent palindromes over the cycles of p,
-        # cycle (c1 c2 ... ck) written as (c1 c2)(c1 c3)...(c1 ck)
-        word2 = []
-        for cycle in p.cycles():
-            for b in cycle[1:]:
-                lo, hi = min(cycle[0], b), max(cycle[0], b)
-                rising = list(range(lo, hi - 1))
-                word2 += rising + [hi - 1] + rising[::-1]
-        word2 = tuple(word2)
-        assert permutation_of_word(word2, g) == p  # sanity of the construction
+        images = tuple(images)
+        word1, word2 = bubble_word(images), cycle_word(images)
+        assert images_of_word(word1, g) == images_of_word(word2, g) == images
         m = SpinMatrix.from_key(g, rng.randrange(1 << (2 * g)))
         assert apply_word(m, word1) == apply_word(m, word2)
-
-
-def test_permutation_rejects_non_bijections():
-    with pytest.raises(ValueError):
-        Permutation((1, 1, 3, 4))
-    with pytest.raises(ValueError):
-        word_for_permutation(Permutation((2, 1, 3)))  # odd degree
-
-
-def test_permutation_text_round_trip():
-    p = Permutation((2, 1, 4, 3))
-    assert p.inverse() == p
-    q = Permutation((2, 3, 1, 4))
-    assert q.inverse() == Permutation((3, 1, 2, 4))
-    assert q.then(q.inverse()).is_identity()
 
 
 # ---------------------------------------------------------------------------

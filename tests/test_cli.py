@@ -1,13 +1,18 @@
 """Command-line interface: outputs, flags, exit codes."""
 
 import builtins
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import sys
+import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from hyperspin import cli, class_index, predicted_stabilizer_order, sp_transvection_orbits
 from hyperspin.cli import (
@@ -15,6 +20,7 @@ from hyperspin.cli import (
     EXIT_OK,
     EXIT_SKIP_STRICT,
     EXIT_USAGE,
+    MAX_SYMBOLIC_GENUS,
     main,
 )
 from hyperspin.orbits import OrbitPartition, SelfCheckError
@@ -178,6 +184,18 @@ def test_fixed_point_output(capsys):
     assert run(capsys, "fixed-point", "5")[1] == "11111/10101\n"
 
 
+def test_symbolic_commands_refuse_a_genus_above_the_ceiling(capsys):
+    # isotropy 870 0, which prints past the digit limit, is below it
+    for g in (MAX_SYMBOLIC_GENUS + 1, 10**20, 10**20 + 1):
+        for argv in (("isotropy", str(g), "0"), ("fixed-point", str(g))):
+            started = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - started < 1
+            assert (code, out) == (EXIT_USAGE, "")
+            message = f"genus must be <= {MAX_SYMBOLIC_GENUS} for this command, got {g}"
+            assert err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -292,10 +310,47 @@ def test_verify_self_check_failure_is_a_fail_row(capsys, monkeypatch):
 def test_verify_rejects_malformed_range(capsys):
     assert run(capsys, "verify", "8..3")[0] == EXIT_USAGE
     assert run(capsys, "verify", "abc")[0] == EXIT_USAGE
+    assert run(capsys, "verify", "3", "--max-g=--")[0] == EXIT_USAGE  # argparse gives []
 
 
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
+
+
+# Genera are drawn from 1..8 or above every ceiling, never in between, so
+# that every run is cheap; int() reads "1_0" as 10, which is cheap too.
+_TOKENS = st.one_of(
+    st.integers(1, 8).map(str),
+    st.integers(MAX_SYMBOLIC_GENUS + 1, 10**6).map(str),
+    st.integers(10**20, 10**30).map(str),
+    st.sampled_from(["-1", "1_0", "3..", "x", "", "--"]),
+    st.text("01/", max_size=8),
+)
+_FLAGS = st.lists(
+    st.one_of(
+        st.sampled_from(["--json", "--strict", "--trace"]),
+        _TOKENS.map(lambda token: f"--max-g={token}"),
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from(["classify", "reduce", "orbits", "isotropy", "fixed-point", "verify"]),
+    st.lists(_TOKENS, max_size=3),
+    _FLAGS,
+)
+def test_any_argv_exits_with_a_documented_code(command, tokens, flags):
+    # a bare verify runs the default range 3..8, seconds a run; other tests run it
+    assume(command != "verify" or tokens)
+    out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, *tokens, *flags])
+    assert time.perf_counter() - started < 20
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_SKIP_STRICT)
+    assert "Traceback" not in err.getvalue()
 
 
 

@@ -17,6 +17,7 @@ from hyperspin import (
     enumerate_orbits,
     fixed_matrices,
     fixed_point_matrix,
+    orbits,
     predicted_orbit_size,
     predicted_stabilizer_order,
     sp_transvection_orbits,
@@ -298,6 +299,14 @@ def test_isotropy_without_partition_skips_order_check():
     report = verify_isotropy(3, 1)
     assert report.passed
     assert report.observed_order is None
+
+
+def test_isotropy_reports_a_form_fixed_by_its_moving_generator_once(monkeypatch):
+    # the all-fixed matrix in place of the m=0 form: s_4 fixes it too
+    monkeypatch.setattr(orbits, "stabilizer_form", lambda g, m: fixed_point_matrix(3))
+    report = verify_isotropy(3, 0)
+    assert report.moving_generator == 4
+    assert report.failures == ("fixing set differs at generators [4]",)
 
 
 # ---------------------------------------------------------------------------
