@@ -31,7 +31,6 @@ from .normalform import (
     ReductionTrace,
     canonical_form,
     class_index,
-    classify_canonical,
     fixed_point_matrix,
     reduce_to_canonical,
     stabilizer_form,
@@ -69,7 +68,6 @@ __all__ = [
     "canonical_form",
     "census",
     "class_index",
-    "classify_canonical",
     "dehn_twist",
     "enumerate_orbits",
     "evaluate",

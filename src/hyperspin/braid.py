@@ -31,7 +31,8 @@ S_{2g+2} is checked through the Coxeter relations.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from .gf2 import HomologyClass, SpinMatrix
 
@@ -94,7 +95,7 @@ def apply_word(matrix: SpinMatrix, word: Iterable[int]) -> SpinMatrix:
     return SpinMatrix(g, top, bottom)
 
 
-def flip_word(g: int) -> Word:
+def flip_word(g: int) -> Iterator[int]:
     """A word for the order-reversing involution p -> 2g+3-p of the 2g+2 points.
 
     It concatenates, for i = 1..g+1, the palindromic word realizing the
@@ -102,18 +103,19 @@ def flip_word(g: int) -> Word:
 
         s_i s_{i+1} ... s_{2g+1-i} s_{2g+2-i} s_{2g+1-i} ... s_{i+1} s_i
 
-    (for i = g+1 this degenerates to the single letter s_{g+1}).
+    (for i = g+1 this degenerates to the single letter s_{g+1}).  The
+    (g+1)(2g+1) letters are yielded one palindrome at a time, so applying
+    the word holds O(g) of it in memory.
 
-    >>> flip_word(1)
+    >>> tuple(flip_word(1))
     (1, 2, 3, 2, 1, 2)
     """
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
-    letters: list[int] = []
-    for i in range(1, g + 2):
-        rising = list(range(i, 2 * g + 2 - i))
-        letters += rising + [2 * g + 2 - i] + rising[::-1]
-    return tuple(letters)
+    return chain.from_iterable(
+        (*range(i, 2 * g + 2 - i), 2 * g + 2 - i, *range(2 * g + 1 - i, i - 1, -1))
+        for i in range(1, g + 2)
+    )
 
 
 def format_word(word: Sequence[int]) -> str:

@@ -77,8 +77,8 @@ EXIT_SKIP_STRICT = 3
 _REDUCE_CAP = 8  # class-agreement reduces every key up to this genus
 
 # The greatest genus isotropy and fixed-point accept.  Their work grows
-# with the genus without bound (flip_word(g) has (g+1)^2 letters);
-# isotropy 1000 0 takes a few seconds and peaks at about 90 MB.
+# with the genus without bound (flip_word(g) streams (g+1)(2g+1) letters);
+# isotropy 1000 0 takes about 2 s and peaks at about 30 MB.
 MAX_SYMBOLIC_GENUS = 1000
 
 # Reference traces used by the golden-trace check: input, step words, and
@@ -217,7 +217,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
     g = _parse_genus(args.g, maximum=MAX_ENUMERATION_GENUS)
-    records = census(g)
+    records = census(enumerate_orbits(g))
     rows = []
     for record in records:
         m = record.class_index
@@ -296,7 +296,7 @@ def _check_orbit_count(g: int, partition) -> tuple[str, str]:
 
 
 def _check_orbit_sizes(g: int, partition) -> tuple[str, str]:
-    records = census(g, partition)
+    records = census(partition)
     if g < 3:
         return "PASS", f"derived sizes {sorted(partition.sizes().values(), reverse=True)}"
     return "PASS", " ".join(str(r.size) for r in records)

@@ -24,9 +24,11 @@ rightmost adjacent pair of equal nonzero columns — two (1,1) columns are
 first made adjacent by filling the bottom row of the gap and sliding the
 right column's top bit leftwards — kills leftover (1,0) columns at the
 board edges, and finally packs the survivors (which alternate (1,1), (1,0),
-..., (1,1)) into the leading columns.  The class index is the number of
-surviving (1,1) columns.  Each step states the exact matrix it must
-produce, and the driver aborts with ReductionInvariantError on any other.
+..., (1,1)) into the leading columns.  Of k survivors, (k+1)//2 are (1,1)
+columns; that is the class index m.  Each step states the exact matrix it
+must produce, the end state is checked once against canonical_form(g, m)
+(survivors that do not alternate pack to some other matrix), and the
+driver aborts with ReductionInvariantError on any mismatch.
 
 Trace serialization (one step per line): ``<moveName> <word> -> <matrix>``.
 """
@@ -68,22 +70,6 @@ def canonical_form(g: int, m: int) -> SpinMatrix:
     if not 0 <= m <= _max_class(g):
         raise ValueError(f"class index {m} out of range 0..{_max_class(g)} for genus {g}")
     return SpinMatrix(g, ((1 << 2 * m) - 1) >> 1, _alternating_bottom(m))
-
-
-def classify_canonical(matrix: SpinMatrix) -> int | None:
-    """The class index if the matrix is exactly a representative, else None.
-
-    The class-m form has top row 2^(2m-1) - 1, so the top's bit length w is
-    odd (or 0 for m = 0) and fixes m = (w+1)/2; the bottom row must then be
-    the block's alternating row.
-    """
-    w = matrix.top.bit_length()
-    if w & 1 == 0 and w:
-        return None
-    m = (w + 1) // 2
-    if matrix.top != (1 << w) - 1 or matrix.bottom != _alternating_bottom(m):
-        return None
-    return m
 
 
 def stabilizer_form(g: int, m: int) -> SpinMatrix:
@@ -310,8 +296,10 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
     """Drive a spin matrix onto its orbit representative, recording the steps.
 
     Replaying the returned word on the input yields canonical_form(g, m)
-    where m is the reported class index.  Already-canonical inputs return
-    an empty trace.
+    where m is the reported class index: the end state is compared with
+    that form once, after packing, and any other end state raises
+    ReductionInvariantError.  Already-canonical inputs return an empty
+    trace.
 
     >>> trace = reduce_to_canonical(SpinMatrix.from_text("11111/10111"))
     >>> trace.class_index, trace.total_word
@@ -354,14 +342,7 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
                 f"no progress: {count} -> {remaining} nonzero columns"
             )
 
-    survivors = columns
-    expected = [_FULL if idx % 2 == 0 else _TOP for idx in range(len(survivors))]
-    if [kind for _, kind in survivors] != expected or (
-        survivors and survivors[-1][1] != _FULL
-    ):
-        raise ReductionInvariantError(f"survivors not alternating: {survivors}")
-
-    for target, (pos, kind) in enumerate(survivors, start=1):
+    for target, (pos, kind) in enumerate(columns, start=1):
         if pos == target:
             continue
         if kind == _FULL:
@@ -369,11 +350,9 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
         else:
             drv.pack_top_column(pos, target)
 
-    m = (len(survivors) + 1) // 2
-    if m > _max_class(g):
-        raise ReductionInvariantError(f"class index {m} exceeds bound for genus {g}")
+    m = (len(columns) + 1) // 2
     final = SpinMatrix(g, drv.top, drv.bottom)
-    if classify_canonical(final) != m:
+    if final != canonical_form(g, m):
         raise ReductionInvariantError(f"landed on {final}, not the class-{m} form")
     steps = tuple(drv.steps) if record else ()
     if record and apply_word(matrix, tuple(i for s in steps for i in s.word)) != final:

@@ -223,7 +223,7 @@ class OrbitRecord:
     orbit_id: int
 
 
-def census(g: int, partition: OrbitPartition | None = None) -> tuple[OrbitRecord, ...]:
+def census(partition: OrbitPartition) -> tuple[OrbitRecord, ...]:
     """Join the orbit partition with class indices, Arf values and exact orders.
 
     Each orbit's minimum key is its canonical form: the seed of the m-th
@@ -234,10 +234,7 @@ def census(g: int, partition: OrbitPartition | None = None) -> tuple[OrbitRecord
     package exists to verify.  Records are in seed order, which is class
     order; class_index is None below genus 3, where reduction is undefined.
     """
-    if partition is None:
-        partition = enumerate_orbits(g)
-    elif partition.g != g:
-        raise ValueError(f"partition is for genus {partition.g}, not {g}")
+    g = partition.g
     forms = tuple(canonical_form(g, m).key() for m in range((g + 1) // 2 + 1))
     if partition.orbit_ids != forms:
         raise SelfCheckError(

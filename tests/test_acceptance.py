@@ -114,7 +114,7 @@ def test_criterion_2_orbit_counts():
 def test_criterion_3_orbit_sizes():
     with criterion(3, "orbit sizes match binomials for g=3..10"):
         for g in range(3, 11):
-            records = census(g, partition(g))
+            records = census(partition(g))
             total = 0
             for record in records:
                 assert record.size == predicted_orbit_size(g, record.class_index)

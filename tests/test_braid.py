@@ -2,6 +2,7 @@
 the points by the test helper ``points``."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -191,25 +192,37 @@ def test_arf_is_constant_along_words(data):
 
 
 def test_flip_word_for_genus_one():
-    assert flip_word(1) == (1, 2, 3, 2, 1, 2)
-    assert images_of_word(flip_word(1), 1) == (4, 3, 2, 1)
+    assert tuple(flip_word(1)) == (1, 2, 3, 2, 1, 2)
+    assert images_of_word(tuple(flip_word(1)), 1) == (4, 3, 2, 1)
 
 
 def test_flip_permutation_reverses_the_points():
     for g in range(1, 9):
         n = 2 * g + 2
-        images = images_of_word(flip_word(g), g)
+        images = images_of_word(tuple(flip_word(g)), g)
         assert images == tuple(n + 1 - p for p in range(1, n + 1))
-        assert images_of_word(flip_word(g) * 2, g) == tuple(range(1, n + 1))
+        assert images_of_word(tuple(flip_word(g)) * 2, g) == tuple(range(1, n + 1))
 
 
 def test_flip_of_genus_three_is_the_full_reversal():
-    assert cycles(images_of_word(flip_word(3), 3)) == [
+    assert cycles(images_of_word(tuple(flip_word(3)), 3)) == [
         (1, 8),
         (2, 7),
         (3, 6),
         (4, 5),
     ]
+
+
+def test_flip_word_is_streamed():
+    # (g+1)(2g+1) = 321201 letters at g = 400; a tuple of them is about 9.6 MB
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in flip_word(400))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 401 * 801
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from hyperspin import (
     arf,
     canonical_form,
     class_index,
-    classify_canonical,
     fixed_point_matrix,
     reduce_to_canonical,
     stabilizer_form,
@@ -62,23 +61,11 @@ def test_canonical_form_rejects_out_of_range():
         canonical_form(3, -1)
 
 
-def test_classify_canonical_spots_representatives_only():
-    assert classify_canonical(canonical_form(6, 2)) == 2
-    assert classify_canonical(SpinMatrix.from_text("110000/100000")) is None
-
-
 def test_alternating_block_bottom_matches_the_bit_sum():
     for i in range(1, 201):
         block = canonical_form(2 * i - 1, i)
         assert block.bottom == sum(1 << k for k in range(0, 2 * i - 1, 2))
         assert block.top == (1 << (2 * i - 1)) - 1
-
-
-def test_classify_canonical_agrees_with_comparing_every_form():
-    for g in range(1, 7):
-        forms = {canonical_form(g, m): m for m in range((g + 1) // 2 + 1)}
-        for matrix in every_matrix(g):
-            assert classify_canonical(matrix) == forms.get(matrix)
 
 
 def test_arf_of_representatives_is_class_parity():
@@ -228,6 +215,16 @@ def test_reduction_guards_fire_when_a_letter_does_nothing(monkeypatch):
     monkeypatch.setattr(normalform, "_act_letter", lambda g, top, bottom, i: (top, bottom))
     with pytest.raises(ReductionInvariantError, match="cancel the top entries of columns 4,5"):
         reduce_to_canonical(SpinMatrix.from_text("11111/10111"))
+
+
+@pytest.mark.parametrize("text, m", [("11000/11000", 1), ("11011/10001", 2)])
+def test_reduction_end_state_is_checked_against_the_canonical_form(monkeypatch, text, m):
+    # with no pair ever cancelled, survivors that do not alternate reach the
+    # packing; each pack step does what it states, so only the end-state
+    # comparison with canonical_form can reject them
+    monkeypatch.setattr(normalform, "_rightmost_equal_pair", lambda columns: None)
+    with pytest.raises(ReductionInvariantError, match=f"not the class-{m} form"):
+        reduce_to_canonical(SpinMatrix.from_text(text))
 
 
 @pytest.mark.parametrize(

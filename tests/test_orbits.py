@@ -214,14 +214,14 @@ def test_enumeration_rejects_oversized_genus():
 
 
 def test_census_genus_three(partitions):
-    records = census(3, partitions[3])
+    records = census(partitions[3])
     table = [(r.class_index, r.size, r.stabilizer_order, r.arf) for r in records]
     assert table == [(0, 35, 1152, 0), (1, 28, 1440, 1), (2, 1, 40320, 0)]
     assert records[0].stabilizer_order == 2 * math.factorial(4) ** 2
 
 
 def test_census_genus_five(partitions):
-    records = census(5, partitions[5])
+    records = census(partitions[5])
     assert [r.size for r in records] == [462, 495, 66, 1]
     assert sum(r.size for r in records) == 1 << 10
     assert [r.arf for r in records] == [0, 1, 0, 1]
@@ -229,14 +229,14 @@ def test_census_genus_five(partitions):
 
 def test_census_sizes_match_binomials_through_g8():
     for g in range(3, 9):
-        records = census(g)
+        records = census(enumerate_orbits(g))
         for record in records:
             assert record.size == predicted_orbit_size(g, record.class_index)
             assert record.stabilizer_order * record.size == math.factorial(2 * g + 2)
 
 
 def test_census_below_classified_range_has_no_class_indices(partitions):
-    records = census(2, partitions[2])
+    records = census(partitions[2])
     assert [r.class_index for r in records] == [None, None]
     assert sorted(r.size for r in records) == [6, 10]
 
@@ -246,11 +246,11 @@ def test_census_rejects_seeds_or_sizes_off_the_canonical_forms(partitions):
     # the same orbits found in the wrong order: the seeds are not class order
     reordered = OrbitPartition(3, p.ordinals, dict(reversed(p.sizes().items())))
     with pytest.raises(SelfCheckError, match="canonical forms"):
-        census(3, reordered)
+        census(reordered)
     # right seeds, but sizes that divide 6! = 720 and miss the binomials
     p = partitions[2]
     with pytest.raises(SelfCheckError, match="predicted 10"):
-        census(2, OrbitPartition(2, p.ordinals, {0: 8, 5: 8}))
+        census(OrbitPartition(2, p.ordinals, {0: 8, 5: 8}))
 
 
 def test_predicted_stabilizer_orders():
