@@ -27,9 +27,9 @@ The orbit partition is enumerated once per genus up to min(--max-g, 12);
 above that the checks that read it print SKIP.  A failed self-check
 (SelfCheckError) in a check is a FAIL row.
 
-``isotropy`` and ``fixed-point`` refuse a genus above MAX_SYMBOLIC_GENUS
-(1000) with exit 2 before computing anything; ``orbits`` refuses one above
-the enumeration ceiling (12) the same way.
+``classify``, ``reduce``, ``isotropy`` and ``fixed-point`` refuse a genus
+above MAX_SYMBOLIC_GENUS (1000) with exit 2 before computing anything;
+``orbits`` refuses one above the enumeration ceiling (12) the same way.
 
 Exit codes: 0 all passed, 1 check failure, 2 usage or parse error,
 3 a resource skip occurred under --strict.
@@ -76,9 +76,11 @@ EXIT_SKIP_STRICT = 3
 
 _REDUCE_CAP = 8  # class-agreement reduces every key up to this genus
 
-# The greatest genus isotropy and fixed-point accept.  Their work grows
-# with the genus without bound (flip_word(g) streams (g+1)(2g+1) letters);
-# isotropy 1000 0 takes about 2 s and peaks at about 30 MB.
+# The greatest genus classify, reduce, isotropy and fixed-point accept.
+# Their work grows with the genus without bound: a reduction takes
+# quadratically many letters, and flip_word(g) streams (g+1)(2g+1) of them.
+# At 1000, isotropy 1000 0 and the slowest reductions found take about 2 s
+# and at most about 90 MB.
 MAX_SYMBOLIC_GENUS = 1000
 
 # Reference traces used by the golden-trace check: input, step words, and
@@ -167,7 +169,7 @@ def _emit(payload: dict | list[dict], as_json: bool) -> None:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    g = _parse_genus(args.g, minimum=3)
+    g = _parse_genus(args.g, minimum=3, maximum=MAX_SYMBOLIC_GENUS)
     matrix = _parse_matrix_arg(g, args.matrix)
     trace = reduce_to_canonical(matrix)
     _emit(
@@ -184,7 +186,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    g = _parse_genus(args.g, minimum=3)
+    g = _parse_genus(args.g, minimum=3, maximum=MAX_SYMBOLIC_GENUS)
     matrix = _parse_matrix_arg(g, args.matrix)
     trace = reduce_to_canonical(matrix)
     if args.json:

@@ -19,16 +19,39 @@ single-generator moves, each of which has its effect only under its guard:
     cancel-tops(j)   s_{2j+1},  same guard; flips equal c(alpha_j), c(alpha_{j+1})
     flip-top-last    s_{2g+1},  needs c(beta_g) = 0;   flips c(alpha_g)
 
-The driver below normalizes (0,1) columns away, then repeatedly cancels the
+The reducer normalizes (0,1) columns away, then repeatedly cancels the
 rightmost adjacent pair of equal nonzero columns — two (1,1) columns are
 first made adjacent by filling the bottom row of the gap and sliding the
 right column's top bit leftwards — kills leftover (1,0) columns at the
 board edges, and finally packs the survivors (which alternate (1,1), (1,0),
 ..., (1,1)) into the leading columns.  Of k survivors, (k+1)//2 are (1,1)
-columns; that is the class index m.  Each step states the exact matrix it
-must produce, the end state is checked once against canonical_form(g, m)
-(survivors that do not alternate pack to some other matrix), and the
-driver aborts with ReductionInvariantError on any mismatch.
+columns; that is the class index m.
+
+Each composite move is one to three runs of letters.  An even run
+range(2a, 2b, 2) flips the bottom bit of each column a..b-1 whose top bit
+is 0.  Across columns with equal bottom bits, an odd run range(2q-1, 2p, -2)
+carries column q's top bit left to column p (p = 0: off the board), and
+range(2p+1, 2g+2, 2) carries column p's top bit right off the board.
+Each move states its window's exact columns afterwards; the rest stay:
+
+  move                  letter runs                     window  after
+  clear-bottom-columns  2k for each (0,1) column k      those   (0,0)
+                        range(2s, 2i+2, 2)              s..i    (0,0) ...
+  align-full-pair       range(2s+2, 2i, 2),             s..i    (1,1) (1,1)
+                        range(2i-1, 2s+2, -2)                   (0,1) ...
+  cancel-full-pair      2s+1                            s..s+1  (0,1) (0,1)
+  cancel-top-pair       range(2q-1, 2p, -2)             p..q    (0,0) ...
+  drop-top-left         range(2p-1, 0, -2)              1..p    (0,0) ...
+  drop-top-right        range(2p+1, 2g+2, 2)            p..g    (0,0) ...
+  pack-full-column      range(2t, 2s, 2),               t..s    (1,1) (0,0) ...
+                        range(2s-1, 2t, -2),
+                        range(2t+2, 2s+2, 2)
+  pack-top-column       range(2s-1, 2t, -2)             t..s    (1,0) (0,0) ...
+
+A step that leaves any other matrix, a pass that removes no nonzero
+column, an end state other than canonical_form(g, m) (survivors that do
+not alternate pack to some other matrix) and, when recording, a trace word
+that does not replay to it all raise ReductionInvariantError.
 
 Trace serialization (one step per line): ``<moveName> <word> -> <matrix>``.
 """
@@ -36,6 +59,7 @@ Trace serialization (one step per line): ``<moveName> <word> -> <matrix>``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .braid import Word, _act_letter, apply_word, format_word
 from .gf2 import SpinMatrix
@@ -167,120 +191,6 @@ def _column_kinds(top: int, bottom: int) -> list[tuple[int, int]]:
     return out
 
 
-def _window(lo: int, hi: int) -> int:
-    """Bit mask of columns lo..hi; lo = hi + 1 gives the empty mask."""
-    return ((1 << hi) - 1) ^ ((1 << (lo - 1)) - 1)
-
-
-class _Driver:
-    """Mutable reduction state; emits verified steps."""
-
-    def __init__(self, matrix: SpinMatrix, record: bool):
-        self.g = matrix.g
-        self.top = matrix.top
-        self.bottom = matrix.bottom
-        self.steps: list[ReductionStep] = [] if record else None  # type: ignore[assignment]
-
-    def emit(self, name: str, word: Word, want: tuple[int, int], what: str) -> None:
-        """Apply word; the rows must then be exactly want."""
-        g, top, bottom = self.g, self.top, self.bottom
-        for i in word:
-            top, bottom = _act_letter(g, top, bottom, i)
-        self.top, self.bottom = top, bottom
-        if (top, bottom) != want:
-            raise ReductionInvariantError(
-                f"reduction step did not {what} (state {SpinMatrix(g, top, bottom)})"
-            )
-        if self.steps is not None:
-            self.steps.append(ReductionStep(name, word, SpinMatrix(g, top, bottom)))
-
-    def placed(self, lo: int, hi: int, top: int, bottom: int) -> tuple[int, int]:
-        """Current rows with columns lo..hi replaced by (top, bottom), bit 0 at column lo."""
-        keep = ~_window(lo, hi)
-        shift = lo - 1
-        return (self.top & keep) | top << shift, (self.bottom & keep) | bottom << shift
-
-    # -- verified composite moves ------------------------------------------
-
-    def clear_bottom_columns(self, columns: list[int]) -> None:
-        """Zero the bottom bit of (0,1) columns; tops are untouched."""
-        named = 0
-        for k in columns:
-            named |= 1 << (k - 1)
-        self.emit(
-            "clear-bottom-columns",
-            tuple(2 * k for k in columns),
-            (self.top & ~named, self.bottom & ~named),
-            "leave the top row unchanged",
-        )
-
-    def cancel_full_pair(self, s: int) -> None:
-        """Turn adjacent (1,1) columns at s, s+1 into (0,1) columns."""
-        self.emit(
-            "cancel-full-pair",
-            (2 * s + 1,),
-            self.placed(s, s + 1, 0b00, 0b11),
-            f"cancel the top entries of columns {s},{s + 1}",
-        )
-
-    def align_full_pair(self, s: int, i: int) -> None:
-        """Slide the (1,1) column at i next to the one at s (gap all zero).
-
-        Fills the bottom row of columns s+1..i-1, then moves the top bit of
-        column i left to column s+1; afterwards columns s, s+1 are (1,1) and
-        s+2..i are (0,1).
-        """
-        fill = [2 * k for k in range(s + 1, i)]
-        slide = [2 * j + 1 for j in range(i - 1, s, -1)]
-        self.emit(
-            "align-full-pair",
-            tuple(fill + slide),
-            self.placed(s, i, 0b11, (1 << (i - s + 1)) - 1),
-            f"bring the far column next to column {s}",
-        )
-
-    def cancel_top_pair(self, p: int, q: int) -> None:
-        """Annihilate (1,0) columns at p < q across an all-zero gap."""
-        self.emit(
-            "cancel-top-pair",
-            tuple(2 * j + 1 for j in range(q - 1, p - 1, -1)),
-            self.placed(p, q, 0, 0),
-            f"annihilate the columns {p},{q}",
-        )
-
-    def drop_top_left(self, p: int) -> None:
-        """Slide a leading (1,0) column to column 1 and clear it there."""
-        word = tuple(2 * j + 1 for j in range(p - 1, 0, -1)) + (1,)
-        self.emit("drop-top-left", word, self.placed(1, p, 0, 0), "clear the leading column")
-
-    def drop_top_right(self, p: int) -> None:
-        """Slide a trailing (1,0) column to column g and clear it there."""
-        g = self.g
-        word = tuple(2 * j + 1 for j in range(p, g)) + (2 * g + 1,)
-        self.emit("drop-top-right", word, self.placed(p, g, 0, 0), "clear the trailing column")
-
-    def pack_full_column(self, s: int, t: int) -> None:
-        """Move a (1,1) column left from s to t through zero columns."""
-        fill = [2 * k for k in range(t, s)]
-        slide = [2 * j + 1 for j in range(s - 1, t - 1, -1)]
-        clear = [2 * k for k in range(t + 1, s + 1)]
-        self.emit(
-            "pack-full-column",
-            tuple(fill + slide + clear),
-            self.placed(t, s, 1, 1),
-            f"land the column on {t}",
-        )
-
-    def pack_top_column(self, s: int, t: int) -> None:
-        """Move a (1,0) column left from s to t through zero columns."""
-        self.emit(
-            "pack-top-column",
-            tuple(2 * j + 1 for j in range(s - 1, t - 1, -1)),
-            self.placed(t, s, 1, 0),
-            f"land the column on {t}",
-        )
-
-
 def _rightmost_equal_pair(
     columns: list[tuple[int, int]],
 ) -> tuple[int, int, int] | None:
@@ -308,14 +218,32 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
     g = matrix.g
     if g < 3:
         raise ValueError(f"reduction needs genus >= 3, got {g}")
+    top, bottom = matrix.top, matrix.bottom
+    steps: list[ReductionStep] = []
 
-    drv = _Driver(matrix, record)
+    def placed(lo: int, hi: int, t: int, b: int) -> tuple[int, int]:
+        """The rows with columns lo..hi rewritten as (t, b), bit 0 at column lo."""
+        keep = ~((1 << hi) - (1 << lo - 1))
+        return (top & keep) | t << lo - 1, (bottom & keep) | b << lo - 1
 
-    columns = _column_kinds(drv.top, drv.bottom)
-    bottoms = [k for k, kind in columns if kind == _BOT]
+    def emit(name: str, word: Sequence[int], want: tuple[int, int]) -> None:
+        """Apply word; the rows must then be exactly want."""
+        nonlocal top, bottom
+        for i in word:
+            top, bottom = _act_letter(g, top, bottom, i)
+        if (top, bottom) != want:
+            raise ReductionInvariantError(
+                f"{name} {format_word(word)} left {SpinMatrix(g, top, bottom)}, "
+                f"not {SpinMatrix(g, *want)}"
+            )
+        if record:
+            steps.append(ReductionStep(name, tuple(word), SpinMatrix(g, top, bottom)))
+
+    columns = _column_kinds(top, bottom)
+    bottoms = [2 * k for k, kind in columns if kind == _BOT]
     if bottoms:
-        drv.clear_bottom_columns(bottoms)
-        columns = _column_kinds(drv.top, drv.bottom)
+        emit("clear-bottom-columns", bottoms, (top, top & bottom))
+        columns = _column_kinds(top, bottom)
 
     while True:
         count = len(columns)
@@ -324,40 +252,50 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
             s, i, kind = pair
             if kind == _FULL:
                 if i > s + 1:
-                    drv.align_full_pair(s, i)
-                drv.cancel_full_pair(s)
-                drv.clear_bottom_columns(list(range(s, i + 1)))
+                    emit(
+                        "align-full-pair",
+                        (*range(2 * s + 2, 2 * i, 2), *range(2 * i - 1, 2 * s + 2, -2)),
+                        placed(s, i, 0b11, (1 << i - s + 1) - 1),
+                    )
+                emit("cancel-full-pair", (2 * s + 1,), placed(s, s + 1, 0b00, 0b11))
+                emit("clear-bottom-columns", range(2 * s, 2 * i + 2, 2), placed(s, i, 0, 0))
             else:
-                drv.cancel_top_pair(s, i)
+                emit("cancel-top-pair", range(2 * i - 1, 2 * s, -2), placed(s, i, 0, 0))
         elif columns and columns[0][1] == _TOP:
-            drv.drop_top_left(columns[0][0])
+            p = columns[0][0]
+            emit("drop-top-left", range(2 * p - 1, 0, -2), placed(1, p, 0, 0))
         elif columns and columns[-1][1] == _TOP:
-            drv.drop_top_right(columns[-1][0])
+            p = columns[-1][0]
+            emit("drop-top-right", range(2 * p + 1, 2 * g + 2, 2), placed(p, g, 0, 0))
         else:
             break
-        columns = _column_kinds(drv.top, drv.bottom)
+        columns = _column_kinds(top, bottom)
         remaining = len(columns)
         if remaining >= count:
             raise ReductionInvariantError(
                 f"no progress: {count} -> {remaining} nonzero columns"
             )
 
-    for target, (pos, kind) in enumerate(columns, start=1):
-        if pos == target:
+    for t, (s, kind) in enumerate(columns, start=1):
+        if s == t:
             continue
         if kind == _FULL:
-            drv.pack_full_column(pos, target)
+            emit(
+                "pack-full-column",
+                (*range(2 * t, 2 * s, 2), *range(2 * s - 1, 2 * t, -2),
+                 *range(2 * t + 2, 2 * s + 2, 2)),
+                placed(t, s, 1, 1),
+            )
         else:
-            drv.pack_top_column(pos, target)
+            emit("pack-top-column", range(2 * s - 1, 2 * t, -2), placed(t, s, 1, 0))
 
     m = (len(columns) + 1) // 2
-    final = SpinMatrix(g, drv.top, drv.bottom)
+    final = SpinMatrix(g, top, bottom)
     if final != canonical_form(g, m):
         raise ReductionInvariantError(f"landed on {final}, not the class-{m} form")
-    steps = tuple(drv.steps) if record else ()
-    if record and apply_word(matrix, tuple(i for s in steps for i in s.word)) != final:
+    if record and apply_word(matrix, tuple(i for step in steps for i in step.word)) != final:
         raise ReductionInvariantError("trace word does not replay to the final matrix")
-    return ReductionTrace(matrix, steps, m)
+    return ReductionTrace(matrix, tuple(steps), m)
 
 
 def class_index(matrix: SpinMatrix) -> int:

@@ -49,8 +49,8 @@ def _check_enumeration_genus(g: int) -> None:
         )
 
 
-def _twist_packed(g: int, gamma_key: int, keys: np.ndarray) -> np.ndarray:
-    """Twist about the class packed in gamma_key, applied to packed keys.
+def twist_keys(g: int, gamma_key: int, keys: np.ndarray) -> np.ndarray:
+    """Vectorized twist transvection about the class packed in gamma_key.
 
     c(gamma) is parity(key & gamma_key) + parity(a_gamma & b_gamma); where
     it is 0 the twist adds gamma's beta-word to the top row and its
@@ -62,15 +62,16 @@ def _twist_packed(g: int, gamma_key: int, keys: np.ndarray) -> np.ndarray:
     return keys ^ flip * np.uint32(gb | ga << g)
 
 
+def _generator_keys(g: int) -> list[int]:
+    """The classes of the generators s_1..s_{2g+1}, packed as keys."""
+    gammas = (generator_class(i, g) for i in range(1, 2 * g + 2))
+    return [gamma.a | gamma.b << g for gamma in gammas]
+
+
 def apply_generator_keys(g: int, i: int, keys: np.ndarray) -> np.ndarray:
     """Vectorized generator action: the twist about generator_class(i, g)."""
     gamma = generator_class(i, g)
-    return _twist_packed(g, gamma.a | gamma.b << g, keys)
-
-
-def twist_keys(g: int, gamma_key: int, keys: np.ndarray) -> np.ndarray:
-    """Vectorized twist transvection about the class packed in gamma_key."""
-    return _twist_packed(g, gamma_key, keys)
+    return twist_keys(g, gamma.a | gamma.b << g, keys)
 
 
 def arf_keys(g: int, keys: np.ndarray) -> np.ndarray:
@@ -192,9 +193,7 @@ def enumerate_orbits(g: int) -> OrbitPartition:
     {0: 35, 9: 28, 47: 1}
     """
     _check_enumeration_genus(g)
-    gammas = (generator_class(i, g) for i in range(1, 2 * g + 2))
-    classes = [gamma.a | gamma.b << g for gamma in gammas]
-    partition = OrbitPartition(g, *_bfs_partition(g, classes))
+    partition = OrbitPartition(g, *_bfs_partition(g, _generator_keys(g)))
     if sum(partition.sizes().values()) != 1 << (2 * g):
         raise SelfCheckError("orbit sizes do not sum to the state count")
     return partition
@@ -352,9 +351,10 @@ def fixed_matrices(g: int) -> tuple[SpinMatrix, ...]:
     against the first generator and only its survivors go on to the next.
     """
     _check_enumeration_genus(g)
+    classes = _generator_keys(g)
     fixed = []
     for keys in _key_blocks(1 << (2 * g)):
-        for i in range(1, 2 * g + 2):
-            keys = keys[apply_generator_keys(g, i, keys) == keys]
+        for gamma_key in classes:
+            keys = keys[twist_keys(g, gamma_key, keys) == keys]
         fixed.extend(keys.tolist())
     return tuple(SpinMatrix.from_key(g, k) for k in fixed)

@@ -185,9 +185,16 @@ def test_fixed_point_output(capsys):
 
 
 def test_symbolic_commands_refuse_a_genus_above_the_ceiling(capsys):
-    # isotropy 870 0, which prints past the digit limit, is below it
+    # isotropy 870 0, which prints past the digit limit, is below it; the
+    # matrix has genus MAX_SYMBOLIC_GENUS + 1, and the genus is refused first
+    row = "1" * (MAX_SYMBOLIC_GENUS + 1)
     for g in (MAX_SYMBOLIC_GENUS + 1, 10**20, 10**20 + 1):
-        for argv in (("isotropy", str(g), "0"), ("fixed-point", str(g))):
+        for argv in (
+            ("isotropy", str(g), "0"),
+            ("fixed-point", str(g)),
+            ("classify", str(g), f"{row}/{row}"),
+            ("reduce", str(g), f"{row}/{row}"),
+        ):
             started = time.perf_counter()
             code, out, err = run(capsys, *argv)
             assert time.perf_counter() - started < 1

@@ -1,13 +1,20 @@
 """Keep the usage examples embedded in docstrings honest."""
 
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-from hyperspin import braid, gf2, normalform, orbits
+import hyperspin
+
+MODULES = [
+    importlib.import_module(f"hyperspin.{info.name}")
+    for info in pkgutil.iter_modules(hyperspin.__path__)
+]
 
 
-@pytest.mark.parametrize("module", [gf2, braid, normalform, orbits])
+@pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
 def test_module_doctests(module):
     failures, _ = doctest.testmod(module)
     assert failures == 0

@@ -213,7 +213,8 @@ def test_reduction_rejects_small_genus():
 
 def test_reduction_guards_fire_when_a_letter_does_nothing(monkeypatch):
     monkeypatch.setattr(normalform, "_act_letter", lambda g, top, bottom, i: (top, bottom))
-    with pytest.raises(ReductionInvariantError, match="cancel the top entries of columns 4,5"):
+    message = "cancel-full-pair 9 left 11111/10111, not 11100/10111"
+    with pytest.raises(ReductionInvariantError, match=f"^{message}$"):
         reduce_to_canonical(SpinMatrix.from_text("11111/10111"))
 
 
@@ -228,21 +229,21 @@ def test_reduction_end_state_is_checked_against_the_canonical_form(monkeypatch, 
 
 
 @pytest.mark.parametrize(
-    "text, move, outside, what",
+    "text, move, outside",
     [
-        ("00000/10000", "clear-bottom-columns", 5, "leave the top row unchanged"),
-        ("11000/11000", "cancel-full-pair", 5, "cancel the top entries of columns 1,2"),
-        ("10100/10100", "align-full-pair", 5, "bring the far column next to column 1"),
-        ("11000/00000", "cancel-top-pair", 5, "annihilate the columns 1,2"),
-        ("01000/00000", "drop-top-left", 5, "clear the leading column"),
-        ("11000/10000", "drop-top-right", 1, "clear the trailing column"),
-        ("01000/01000", "pack-full-column", 5, "land the column on 1"),
-        ("10110/10010", "pack-top-column", 5, "land the column on 2"),
+        ("00000/10000", "clear-bottom-columns", 5),
+        ("11000/11000", "cancel-full-pair", 5),
+        ("10100/10100", "align-full-pair", 5),
+        ("11000/00000", "cancel-top-pair", 5),
+        ("01000/00000", "drop-top-left", 5),
+        ("11000/10000", "drop-top-right", 1),
+        ("01000/01000", "pack-full-column", 5),
+        ("10110/10010", "pack-top-column", 5),
     ],
 )
 @pytest.mark.parametrize("row", ["top", "bottom"])
 def test_reduction_guards_fire_on_a_flip_outside_the_window(
-    monkeypatch, text, move, outside, what, row
+    monkeypatch, text, move, outside, row
 ):
     matrix = SpinMatrix.from_text(text)
     assert reduce_to_canonical(matrix).steps[0].move == move
@@ -255,7 +256,7 @@ def test_reduction_guards_fire_on_a_flip_outside_the_window(
         return (top ^ flip, bottom) if row == "top" else (top, bottom ^ flip)
 
     monkeypatch.setattr(normalform, "_act_letter", act_and_flip_once)
-    with pytest.raises(ReductionInvariantError, match=what):
+    with pytest.raises(ReductionInvariantError, match=f"^{move} "):
         reduce_to_canonical(matrix)
 
 
