@@ -26,9 +26,9 @@ from .gf2 import (
     intersection,
 )
 from .normalform import (
-    ReductionInvariantError,
     ReductionStep,
     ReductionTrace,
+    SelfCheckError,
     canonical_form,
     class_index,
     fixed_point_matrix,
@@ -39,7 +39,6 @@ from .orbits import (
     IsotropyReport,
     OrbitPartition,
     OrbitRecord,
-    SelfCheckError,
     census,
     enumerate_orbits,
     fixed_matrices,
@@ -56,7 +55,6 @@ __all__ = [
     "IsotropyReport",
     "OrbitPartition",
     "OrbitRecord",
-    "ReductionInvariantError",
     "ReductionStep",
     "ReductionTrace",
     "SelfCheckError",

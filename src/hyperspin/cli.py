@@ -25,7 +25,8 @@ sp-crosscheck                         g <= 6, reads the partition
 
 The orbit partition is enumerated once per genus up to min(--max-g, 12);
 above that the checks that read it print SKIP.  A failed self-check
-(SelfCheckError) in a check is a FAIL row.
+(SelfCheckError) in any row, a reducer guard or the golden-traces row
+included, is a FAIL row.
 
 ``classify``, ``reduce``, ``isotropy`` and ``fixed-point`` refuse a genus
 above MAX_SYMBOLIC_GENUS (1000) with exit 2 before computing anything;
@@ -48,7 +49,7 @@ import numpy as np
 from .braid import apply_generator, apply_word, format_word
 from .gf2 import HomologyClass, SpinMatrix, arf, evaluate, intersection
 from .normalform import (
-    ReductionInvariantError,
+    SelfCheckError,
     canonical_form,
     class_index,
     fixed_point_matrix,
@@ -58,7 +59,6 @@ from .normalform import (
 from .orbits import (
     MAX_ENUMERATION_GENUS,
     MAX_SP_GENUS,
-    SelfCheckError,
     arf_keys,
     census,
     enumerate_orbits,
@@ -286,6 +286,14 @@ def _row(g: int | None, check: str, status: str, detail: str) -> dict:
     return {"g": g, "check": check, "status": status, "detail": detail}
 
 
+def _run_check(check, *args) -> tuple[str, str] | None:
+    """The check's (status, detail); a failed self-check is a FAIL row."""
+    try:
+        return check(*args)
+    except SelfCheckError as exc:
+        return "FAIL", str(exc)
+
+
 def _verdict(ok: bool, detail: str, failure: str | None = None) -> tuple[str, str]:
     """PASS with detail, or FAIL with failure (detail when there is none)."""
     return ("PASS", detail) if ok else ("FAIL", detail if failure is None else failure)
@@ -428,7 +436,7 @@ def _verify_genus(g: int, max_g: int) -> list[dict]:
     """One row per check of _GENUS_CHECKS whose genus range holds g.
 
     The partition is enumerated once, up to the cap; past it the checks
-    that read it are skipped.  A failed self-check is a FAIL row.
+    that read it are skipped.
     """
     cap = min(max_g, MAX_ENUMERATION_GENUS)
     partition = enumerate_orbits(g) if g <= cap else None
@@ -439,10 +447,7 @@ def _verify_genus(g: int, max_g: int) -> list[dict]:
         if reads_partition and partition is None:
             result = ("SKIP", f"enumeration capped at {cap}")
         else:
-            try:
-                result = check(g, partition)
-            except SelfCheckError as exc:
-                result = ("FAIL", str(exc))
+            result = _run_check(check, g, partition)
         if result is not None:
             rows.append(_row(g, name, *result))
     return rows
@@ -475,7 +480,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     rows = [
         row for g in range(lo, hi + 1) for row in _verify_genus(g, max_g)
     ]
-    rows.append(_row(None, "golden-traces", *_check_golden_traces()))
+    rows.append(_row(None, "golden-traces", *_run_check(_check_golden_traces)))
 
     failed = any(row["status"] == "FAIL" for row in rows)
     skipped = any(row["status"] == "SKIP" for row in rows)
@@ -556,7 +561,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ReductionInvariantError, SelfCheckError, ValueError) as exc:
+    except (SelfCheckError, ValueError) as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     finally:

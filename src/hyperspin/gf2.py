@@ -102,11 +102,8 @@ class SpinMatrix:
             raise ValueError(f"column {k} out of range for genus {self.g}")
         return (self.top >> (k - 1)) & 1, (self.bottom >> (k - 1)) & 1
 
-    def to_text(self) -> str:
-        return f"{_bits_to_text(self.top, self.g)}/{_bits_to_text(self.bottom, self.g)}"
-
     def __str__(self) -> str:
-        return self.to_text()
+        return f"{_bits_to_text(self.top, self.g)}/{_bits_to_text(self.bottom, self.g)}"
 
     @classmethod
     def from_text(cls, text: str) -> "SpinMatrix":
@@ -131,7 +128,7 @@ class SpinMatrix:
     @classmethod
     def from_key(cls, g: int, key: int) -> "SpinMatrix":
         mask = (1 << g) - 1
-        return cls(g, key & mask, (key >> g) & mask)
+        return cls(g, key & mask, key >> g)
 
 
 def intersection(x: HomologyClass, y: HomologyClass) -> int:

@@ -51,7 +51,7 @@ Each move states its window's exact columns afterwards; the rest stay:
 A step that leaves any other matrix, a pass that removes no nonzero
 column, an end state other than canonical_form(g, m) (survivors that do
 not alternate pack to some other matrix) and, when recording, a trace word
-that does not replay to it all raise ReductionInvariantError.
+that does not replay to it all raise SelfCheckError.
 
 Trace serialization (one step per line): ``<moveName> <word> -> <matrix>``.
 """
@@ -70,8 +70,8 @@ _TOP = 1  # (1,0)
 _BOT = 2  # (0,1)
 
 
-class ReductionInvariantError(RuntimeError):
-    """A reduction step did not have its intended effect."""
+class SelfCheckError(RuntimeError):
+    """An internal cross-check failed; the computed data contradicts itself."""
 
 
 def _alternating_bottom(i: int) -> int:
@@ -175,9 +175,6 @@ class ReductionTrace:
     def result(self) -> SpinMatrix:
         return self.steps[-1].after if self.steps else self.start
 
-    def to_text(self) -> str:
-        return "\n".join(step.to_text() for step in self.steps)
-
 
 def _column_kinds(top: int, bottom: int) -> list[tuple[int, int]]:
     """Nonzero columns as (position, pattern), left to right."""
@@ -208,8 +205,8 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
     Replaying the returned word on the input yields canonical_form(g, m)
     where m is the reported class index: the end state is compared with
     that form once, after packing, and any other end state raises
-    ReductionInvariantError.  Already-canonical inputs return an empty
-    trace.
+    SelfCheckError, as does any other failed guard.  Already-canonical
+    inputs return an empty trace.
 
     >>> trace = reduce_to_canonical(SpinMatrix.from_text("11111/10111"))
     >>> trace.class_index, trace.total_word
@@ -232,7 +229,7 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
         for i in word:
             top, bottom = _act_letter(g, top, bottom, i)
         if (top, bottom) != want:
-            raise ReductionInvariantError(
+            raise SelfCheckError(
                 f"{name} {format_word(word)} left {SpinMatrix(g, top, bottom)}, "
                 f"not {SpinMatrix(g, *want)}"
             )
@@ -272,7 +269,7 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
         columns = _column_kinds(top, bottom)
         remaining = len(columns)
         if remaining >= count:
-            raise ReductionInvariantError(
+            raise SelfCheckError(
                 f"no progress: {count} -> {remaining} nonzero columns"
             )
 
@@ -292,9 +289,9 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
     m = (len(columns) + 1) // 2
     final = SpinMatrix(g, top, bottom)
     if final != canonical_form(g, m):
-        raise ReductionInvariantError(f"landed on {final}, not the class-{m} form")
+        raise SelfCheckError(f"landed on {final}, not the class-{m} form")
     if record and apply_word(matrix, tuple(i for step in steps for i in step.word)) != final:
-        raise ReductionInvariantError("trace word does not replay to the final matrix")
+        raise SelfCheckError("trace word does not replay to the final matrix")
     return ReductionTrace(matrix, tuple(steps), m)
 
 

@@ -2,6 +2,8 @@
 
 import importlib
 import importlib.util
+import inspect
+import pkgutil
 from pathlib import Path
 
 import hyperspin
@@ -11,7 +13,6 @@ EXPORTED = [
     "IsotropyReport",
     "OrbitPartition",
     "OrbitRecord",
-    "ReductionInvariantError",
     "ReductionStep",
     "ReductionTrace",
     "SelfCheckError",
@@ -42,7 +43,7 @@ EXPORTED = [
 
 
 def test_exported_names_are_pinned():
-    assert len(EXPORTED) == 31
+    assert len(EXPORTED) == 30
     assert sorted(hyperspin.__all__) == sorted(EXPORTED)
     assert len(set(hyperspin.__all__)) == len(hyperspin.__all__)
 
@@ -51,6 +52,22 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from hyperspin import *", namespace)
     assert set(hyperspin.__all__) <= set(namespace)
+
+
+def test_the_package_defines_two_exception_classes():
+    # one internal-failure type for every self-check, one for bad arguments
+    defined = set()
+    for info in pkgutil.iter_modules(hyperspin.__path__):
+        module = importlib.import_module(f"hyperspin.{info.name}")
+        for name, value in vars(module).items():
+            if (
+                inspect.isclass(value)
+                and issubclass(value, BaseException)
+                and value.__module__ == module.__name__
+            ):
+                defined.add(f"{info.name}.{name}")
+    assert defined == {"normalform.SelfCheckError", "cli.UsageError"}
+    assert hyperspin.SelfCheckError is hyperspin.orbits.SelfCheckError
 
 
 def test_benchmark_tracer_names_resolve():

@@ -14,7 +14,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from hyperspin import cli, class_index, predicted_stabilizer_order, sp_transvection_orbits
+from hyperspin import (
+    cli,
+    class_index,
+    normalform,
+    predicted_stabilizer_order,
+    sp_transvection_orbits,
+)
 from hyperspin.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -314,6 +320,26 @@ def test_verify_self_check_failure_is_a_fail_row(capsys, monkeypatch):
     ]
 
 
+def test_verify_reports_reducer_guard_failures_as_rows(capsys, monkeypatch):
+    # with no pair ever cancelled, the reducer's end-state guard fires on
+    # every input that needs a cancellation; only the rows that reduce fail
+    monkeypatch.setattr(normalform, "_rightmost_equal_pair", lambda columns: None)
+    code, out, _ = run(capsys, "verify", "3")
+    assert code == EXIT_CHECK_FAILED
+    rows = [line.split("\t") for line in out.splitlines()[1:-1]]
+    assert [row[1] for row in rows] == [
+        "orbit-count", "orbit-sizes", "arf-census", "class-agreement", "fixed-point",
+        "normal-forms", "isotropy", "relations", "sp-crosscheck", "golden-traces",
+    ]
+    failed = {"class-agreement", "normal-forms", "golden-traces"}
+    for _, check, status, detail in rows:
+        if check in failed:
+            assert status == "FAIL"
+            assert detail.startswith("landed on ") and "not the class-" in detail
+        else:
+            assert status == "PASS"
+
+
 def test_verify_rejects_malformed_range(capsys):
     assert run(capsys, "verify", "8..3")[0] == EXIT_USAGE
     assert run(capsys, "verify", "abc")[0] == EXIT_USAGE
@@ -375,8 +401,8 @@ def _raise(error):
 @pytest.mark.parametrize(
     "target, error, argv",
     [
-        ("reduce_to_canonical", "ReductionInvariantError", ("classify", "5", "11111/10111")),
-        ("reduce_to_canonical", "ReductionInvariantError", ("reduce", "5", "11111/10111")),
+        ("reduce_to_canonical", "SelfCheckError", ("classify", "5", "11111/10111")),
+        ("reduce_to_canonical", "SelfCheckError", ("reduce", "5", "11111/10111")),
         ("census", "SelfCheckError", ("orbits", "3")),
         ("census", "ValueError", ("orbits", "3")),
     ],

@@ -276,6 +276,12 @@ def test_matrix_key_round_trip():
         assert SpinMatrix.from_key(3, m.key()) == m
 
 
+@pytest.mark.parametrize("key", [64, -1, 1000])
+def test_matrix_from_key_rejects_keys_out_of_range(key):
+    with pytest.raises(ValueError, match="out of range"):
+        SpinMatrix.from_key(3, key)
+
+
 def test_column_indexing_is_one_based_leftmost():
     m = SpinMatrix.from_text("100/001")
     assert m.column(1) == (1, 0)
