@@ -24,7 +24,8 @@ relations                             every genus; exhaustive for g <= 3
 sp-crosscheck                         g <= 6, reads the partition
 
 The orbit partition is enumerated once per genus up to min(--max-g, 12);
-above that the checks that read it print SKIP.  A failed self-check
+above that the checks that read it print SKIP, and if the enumeration's own
+self-check fails they print FAIL with its message.  A failed self-check
 (SelfCheckError) in any row, a reducer guard or the golden-traces row
 included, is a FAIL row.
 
@@ -436,16 +437,21 @@ def _verify_genus(g: int, max_g: int) -> list[dict]:
     """One row per check of _GENUS_CHECKS whose genus range holds g.
 
     The partition is enumerated once, up to the cap; past it the checks
-    that read it are skipped.
+    that read it are skipped, or FAIL if the enumeration's self-check does.
     """
     cap = min(max_g, MAX_ENUMERATION_GENUS)
-    partition = enumerate_orbits(g) if g <= cap else None
+    partition, missing = None, ("SKIP", f"enumeration capped at {cap}")
+    if g <= cap:
+        try:
+            partition = enumerate_orbits(g)
+        except SelfCheckError as exc:
+            missing = ("FAIL", str(exc))
     rows = []
     for name, least, greatest, reads_partition, check in _GENUS_CHECKS:
         if g < least or (greatest is not None and g > greatest):
             continue
         if reads_partition and partition is None:
-            result = ("SKIP", f"enumeration capped at {cap}")
+            result = missing
         else:
             result = _run_check(check, g, partition)
         if result is not None:

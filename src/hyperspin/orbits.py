@@ -1,9 +1,10 @@
 """Exhaustive orbit enumeration over all 2^(2g) spin matrices.
 
-States are packed keys (top word in the low g bits, bottom word above) and
-the generator actions are evaluated as vectorized bit operations on numpy
-arrays, so a full breadth-first partition of the state space stays cheap up
-to the enumeration ceiling g = 12 (2^24 states, ~4e8 edge traversals).
+States are packed keys (top word in the low g bits, bottom word above).
+Each generator orbit is a bitset of all keys closed under the 2g+1 twists,
+up to the enumeration ceiling g = 12 (2^24 states); the transvection
+orbits, and the tests' oracle for that closure, come from a breadth-first
+search over key arrays.
 
 Determinism: orbits are seeded in increasing key order and labelled by
 their minimum packed key, so the partition, census and all derived tables
@@ -13,16 +14,15 @@ every g >= 1.  Stabilizer orders are exact integers throughout;
 (2g+2)! overflows 64 bits from g = 10 on, so no fixed-width arithmetic is
 used for them.
 
-Memory: a partition is one byte per key, 16 MB at g = 12: the BFS's seen
-map holds each key's orbit ordinal and its orbit sizes are counted as it
-goes; 4-byte minimum-key labels are derived only when asked for.  Every
-other pass over all keys (fixed matrices and the orbit-invariance passes
-of first_disagreement) walks them in blocks of 2^20 keys, so
-`verify 9..12` peaks at about 60 MB.
+Memory: a partition is a uint8 map of orbit ordinals, 16 MB at g = 12;
+4-byte minimum-key labels are derived only when asked for.  The closure
+adds a 2 MB bitset and temporaries no larger, and the passes over all keys
+walk them in blocks of 2^20 keys, so `verify 9..12` peaks at about 60 MB.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -78,12 +78,6 @@ def arf_keys(g: int, keys: np.ndarray) -> np.ndarray:
     return np.bitwise_count(pairs) & 1
 
 
-def _key_blocks(n: int):
-    """All keys 0..n-1 as uint32 arrays of at most _KEY_BLOCK keys each."""
-    for start in range(0, n, _KEY_BLOCK):
-        yield np.arange(start, min(start + _KEY_BLOCK, n), dtype=np.uint32)
-
-
 def first_disagreement(partition: OrbitPartition, values) -> int | None:
     """The least key whose value differs from the value at its orbit's seed.
 
@@ -93,8 +87,8 @@ def first_disagreement(partition: OrbitPartition, values) -> int | None:
     """
     ordinals = partition.ordinals
     seed_values = values(np.array(partition.orbit_ids, dtype=np.uint32))
-    for keys in _key_blocks(ordinals.size):
-        start = int(keys[0])
+    for start in range(0, ordinals.size, _KEY_BLOCK):
+        keys = np.arange(start, min(start + _KEY_BLOCK, ordinals.size), dtype=np.uint32)
         # Ordinal k is seed k - 1 (an unseen key's 0 wraps to 255, past the
         # table).  One expression, so no block-sized array outlives its block.
         bad = np.flatnonzero(
@@ -146,14 +140,108 @@ def _bfs_partition(g: int, classes) -> tuple[np.ndarray, dict[int, int]]:
         sizes[seed] = size
 
 
+def _bitset(g: int) -> np.ndarray:
+    """Zeroed little-endian words, key k at bit k & 63 of word k >> 6, shaped for _twist_plan."""
+    return np.zeros((2,) * max(2 * g - 6, 0) + (1,), dtype="<u8")
+
+
+def _twist_plan(g: int, gamma_key: int):
+    """The twist about a generator class as (moves, swaps) on a _bitset.
+
+    A _bitset has an axis of length 2 per key bit from bit 6 up (2g-1 first)
+    and a last axis of length 1, so fixing every other axis leaves a view.
+    For a generator class a & b = 0: the twist moves the keys whose one or
+    two condition bits (gamma_key) have even parity and flips the disjoint
+    bits b | a << g, as bits[dst] |= swapped(bits[src] & keep) for each move.
+    A condition bit fixes its axis, one move per value, or is in the word
+    mask keep; a flipped bit reverses its axis in src, or is a delta swap.
+    """
+    delta = gamma_key >> g | (gamma_key & ((1 << g) - 1)) << g
+    axis = {b: 2 * g - 1 - b for b in range(6, 2 * g)}
+    cond = [b for b in axis if gamma_key >> b & 1]
+    moves = []
+    for values in itertools.product((0, 1), repeat=len(cond)):
+        # the positions in a word where all condition bits have even parity
+        odd = sum(values) & 1
+        keep = sum(1 << b for b in range(64) if (b & gamma_key).bit_count() & 1 == odd)
+        dst = [slice(None)] * (len(axis) + 1)
+        src = [slice(None, None, -1) if delta >> b & 1 else slice(None) for b in reversed(axis)]
+        for b, value in zip(cond, values):
+            dst[axis[b]] = src[axis[b]] = slice(value, value + 1)
+        if keep:
+            moves.append((tuple(dst), (*src, slice(None)), np.uint64(keep)))
+    low_halves = [sum(1 << b for b in range(64) if not b >> j & 1) for j in range(6)]
+    swaps = [(np.uint64(1 << j), np.uint64(low_halves[j])) for j in range(6) if delta >> j & 1]
+    return moves, swaps
+
+
+def _sweep(bits: np.ndarray, plans) -> None:
+    """bits |= tau(bits & F) in place for each _twist_plan in turn."""
+    for moves, swaps in plans:
+        for dst, src, keep in moves:
+            moved = bits[src] & keep
+            for shift, mask in swaps:  # delta swap, in place
+                high = moved >> shift
+                high &= mask
+                moved &= mask
+                moved <<= shift
+                moved |= high
+            view = bits[dst]
+            view |= moved
+
+
+def _closure_partition(g: int, classes) -> tuple[np.ndarray, dict[int, int]]:
+    """The (ordinals, sizes) of _bfs_partition(g, classes), as bitset closures.
+
+    Each orbit is a _bitset S seeded with the least key the map still marks
+    unseen, its minimum key.  Sweeps S |= tau(S & F), F the keys a twist tau
+    moves, run through the classes and back until one leaves the popcount
+    of S unchanged.  Each |= of that sweep added nothing, so tau(S & F) lies
+    in S for every class: S is closed, and, grown from the seed by twists,
+    it is the seed's orbit.  Its ordinal goes into the map in key blocks.
+    """
+    sweep = [_twist_plan(g, gamma_key) for gamma_key in classes]
+    sweep += sweep[-2:0:-1]  # s_1..s_n..s_2: no twist twice in a row
+    n = 1 << (2 * g)
+    ordinals = np.zeros(n, dtype=np.uint8)
+    bits = _bitset(g)
+    words = bits.reshape(-1)
+    sizes: dict[int, int] = {}
+    seed = 0
+    while True:
+        seed += int(np.argmin(ordinals[seed:]))
+        if ordinals[seed]:
+            return ordinals, sizes
+        ordinal = len(sizes) + 1
+        if ordinal > 255:  # the largest uint8 ordinal
+            raise SelfCheckError("more than 255 orbits")
+        words[:] = 0
+        words[seed >> 6] = np.uint64(1 << (seed & 63))
+        size, last = 1, 0
+        while size != last:
+            last = size
+            _sweep(bits, sweep)
+            size = int(np.bitwise_count(words).sum())
+        for start in range(0, n, _KEY_BLOCK):
+            block = words[start >> 6 : (start + _KEY_BLOCK) >> 6]
+            if block.any():
+                members = np.unpackbits(
+                    block.view(np.uint8), count=min(n, _KEY_BLOCK), bitorder="little"
+                )
+                members *= np.uint8(ordinal)  # the orbit's keys are unseen: 0 | ordinal
+                ordinals[start : start + _KEY_BLOCK] |= members
+                del members  # so that one block's is alive at a time
+        sizes[seed] = size
+
+
 @dataclass(frozen=True, eq=False)
 class OrbitPartition:
-    """BFS partition of all packed keys into orbits.
+    """Partition of all packed keys into orbits.
 
-    enumerate_orbits builds it under the 2g+1 generators,
-    sp_transvection_orbits under the twists about every nonzero class.
-    The orbit sizes are the BFS's own counts, shared by sizes(), orbit_ids
-    and orbit_count.  Equality is identity.
+    enumerate_orbits builds it under the 2g+1 generators by bitset closure,
+    sp_transvection_orbits under the twists about every nonzero class by
+    BFS.  The orbit sizes are the search's own counts, shared by sizes(),
+    orbit_ids and orbit_count.  Equality is identity.
     """
 
     g: int
@@ -183,13 +271,13 @@ class OrbitPartition:
 
 
 def enumerate_orbits(g: int) -> OrbitPartition:
-    """Partition all 2^(2g) spin matrices into generator orbits.
+    """Partition all 2^(2g) spin matrices into generator orbits by closure.
 
     >>> enumerate_orbits(3).sizes()
     {0: 35, 9: 28, 47: 1}
     """
     _check_enumeration_genus(g)
-    partition = OrbitPartition(g, *_bfs_partition(g, _generator_keys(g)))
+    partition = OrbitPartition(g, *_closure_partition(g, _generator_keys(g)))
     if sum(partition.sizes().values()) != 1 << (2 * g):
         raise SelfCheckError("orbit sizes do not sum to the state count")
     return partition
@@ -335,16 +423,19 @@ def sp_transvection_orbits(g: int) -> OrbitPartition:
 
 
 def fixed_matrices(g: int) -> tuple[SpinMatrix, ...]:
-    """All matrices fixed by every generator (exhaustive, vectorized).
+    """All matrices fixed by every generator (exhaustive, bit-parallel).
 
-    Keys are scanned block by block; in each block every key is tested
-    against the first generator and only its survivors go on to the next.
+    A twist moves every key it selects, so the fixed keys are those left
+    after clearing each move's dst & keep from a _bitset of all keys.
     """
     _check_enumeration_genus(g)
-    classes = _generator_keys(g)
-    fixed = []
-    for keys in _key_blocks(1 << (2 * g)):
-        for gamma_key in classes:
-            keys = keys[twist_keys(g, gamma_key, keys) == keys]
-        fixed.extend(keys.tolist())
-    return tuple(SpinMatrix.from_key(g, k) for k in fixed)
+    bits = _bitset(g)
+    words = bits.reshape(-1)
+    words[:] = np.uint64((1 << min(1 << (2 * g), 64)) - 1)
+    for gamma_key in _generator_keys(g):
+        for dst, _, keep in _twist_plan(g, gamma_key)[0]:
+            view = bits[dst]
+            view &= ~keep
+    hits = np.flatnonzero(words).tolist()
+    keys = [w << 6 | b for w in hits for b in range(64) if int(words[w]) >> b & 1]
+    return tuple(SpinMatrix.from_key(g, key) for key in keys)

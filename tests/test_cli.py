@@ -320,6 +320,26 @@ def test_verify_self_check_failure_is_a_fail_row(capsys, monkeypatch):
     ]
 
 
+def test_verify_reports_a_failed_enumeration_in_the_rows_that_read_it(capsys, monkeypatch):
+    # the closure's own guards (the size sum, the 255-orbit limit) raise there
+    monkeypatch.setattr(cli, "enumerate_orbits", _raise(SelfCheckError))
+    code, out, _ = run(capsys, "verify", "3")
+    assert code == EXIT_CHECK_FAILED
+    rows = [line.split("\t") for line in out.splitlines()[1:-1]]
+    assert [row[1] for row in rows] == [
+        "orbit-count", "orbit-sizes", "arf-census", "class-agreement", "fixed-point",
+        "normal-forms", "isotropy", "relations", "sp-crosscheck", "golden-traces",
+    ]
+    reads_partition = {
+        "orbit-count", "orbit-sizes", "arf-census", "class-agreement", "sp-crosscheck",
+    }
+    for _, check, status, detail in rows:
+        if check in reads_partition:
+            assert (status, detail) == ("FAIL", "injected failure")
+        else:
+            assert status == "PASS"
+
+
 def test_verify_reports_reducer_guard_failures_as_rows(capsys, monkeypatch):
     # with no pair ever cancelled, the reducer's end-state guard fires on
     # every input that needs a cancellation; only the rows that reduce fail

@@ -28,6 +28,8 @@ from hyperspin.orbits import (
     OrbitPartition,
     SelfCheckError,
     _bfs_partition,
+    _closure_partition,
+    _generator_keys,
     apply_generator_keys,
     arf_keys,
     first_disagreement,
@@ -188,6 +190,21 @@ def test_bfs_refuses_a_256th_orbit():
     # no twist classes make every key its own orbit
     with pytest.raises(SelfCheckError, match="255"):
         _bfs_partition(5, ())
+
+
+def test_closure_matches_the_bfs():
+    # the BFS is the closure's independent oracle: same ordinals, same sizes
+    for g in range(1, 11):
+        classes = _generator_keys(g)
+        closure_ordinals, closure_sizes = _closure_partition(g, classes)
+        bfs_ordinals, bfs_sizes = _bfs_partition(g, classes)
+        assert np.array_equal(closure_ordinals, bfs_ordinals), g
+        assert list(closure_sizes.items()) == list(bfs_sizes.items()), g
+
+
+def test_closure_refuses_a_256th_orbit():
+    with pytest.raises(SelfCheckError, match="255"):
+        _closure_partition(5, ())
 
 
 def _recount(labels: np.ndarray) -> dict[int, int]:
@@ -359,6 +376,16 @@ def test_fixed_matrices_odd_and_even():
     assert fixed_matrices(1) == (fixed_point_matrix(1),)
 
 
+def test_fixed_matrices_match_an_exhaustive_twist_scan():
+    for g in range(1, 11):
+        keys = np.arange(1 << (2 * g), dtype=np.uint32)
+        fixed = np.ones(keys.size, dtype=bool)
+        for gamma_key in _generator_keys(g):
+            fixed &= twist_keys(g, gamma_key, keys) == keys
+        expected = tuple(SpinMatrix.from_key(g, int(k)) for k in np.flatnonzero(fixed))
+        assert fixed_matrices(g) == expected, g
+
+
 def test_fixed_matrices_span_several_blocks():
     assert fixed_matrices(11) == (fixed_point_matrix(11),)
     assert fixed_matrices(12) == ()
@@ -403,6 +430,8 @@ def _traced_peak_mb(func, *args) -> float:
 def test_key_passes_stream_in_blocks(partition_11):
     # All 2^22 keys at g = 11 would be 16 MB as uint32.
     assert _traced_peak_mb(fixed_matrices, 11) < 16
+    # the scan's one array is the 2 MB bitset of all 2^24 keys
+    assert _traced_peak_mb(fixed_matrices, 12) < 4
     assert _traced_peak_mb(first_disagreement, partition_11, lambda k: arf_keys(11, k)) < 16
 
 
