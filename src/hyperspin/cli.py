@@ -17,17 +17,19 @@ verify [RANGE]             run the verification suite (default 3..8)
 ``_GENUS_CHECKS``, then one golden-traces row:
 
 orbit-count, orbit-sizes, arf-census  read the partition
-class-agreement                       g >= 3, reads the partition; SKIP above g = 8
+class-agreement                       g >= 3, reads the partition and a class
+                                      table of every key; SKIP above g = 8
 fixed-point                           vectorized scan, or fixing only above the cap
-normal-forms, isotropy                g >= 3
+normal-forms                          g >= 3
+isotropy                              g >= 3; stabilizer orders up to the cap
 relations                             every genus; exhaustive for g <= 3
 sp-crosscheck                         g <= 6, reads the partition
 
 The orbit partition is enumerated once per genus up to min(--max-g, 12);
 above that the checks that read it print SKIP, and if the enumeration's own
-self-check fails they print FAIL with its message.  A failed self-check
-(SelfCheckError) in any row, a reducer guard or the golden-traces row
-included, is a FAIL row.
+self-check fails they and isotropy print FAIL with its message.  A failed
+self-check (SelfCheckError) in any row, a reducer guard or the
+golden-traces row included, is a FAIL row.
 
 ``classify``, ``reduce``, ``isotropy`` and ``fixed-point`` refuse a genus
 above MAX_SYMBOLIC_GENUS (1000) with exit 2 before computing anything;
@@ -53,6 +55,7 @@ from .normalform import (
     SelfCheckError,
     canonical_form,
     class_index,
+    class_table,
     fixed_point_matrix,
     reduce_to_canonical,
     stabilizer_form,
@@ -75,7 +78,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_SKIP_STRICT = 3
 
-_REDUCE_CAP = 8  # class-agreement reduces every key up to this genus
+_REDUCE_CAP = 8  # class-agreement classifies every key up to this genus
 
 # The greatest genus classify, reduce, isotropy and fixed-point accept.
 # Their work grows with the genus without bound: a reduction takes
@@ -321,22 +324,16 @@ def _check_arf_census(g: int, partition) -> tuple[str, str]:
 def _check_class_agreement(g: int, partition) -> tuple[str, str]:
     if g > _REDUCE_CAP:
         return "SKIP", f"exhaustive reduction capped at {_REDUCE_CAP}"
-    bad = first_disagreement(
-        partition,
-        lambda keys: np.fromiter(
-            (class_index(SpinMatrix.from_key(g, int(key))) for key in keys),
-            dtype=np.uint8,
-            count=keys.size,
-        ),
-    )
+    table = np.frombuffer(class_table(g), dtype=np.uint8)
+    bad = first_disagreement(partition, lambda keys: table[keys])
     return _verdict(bad is None, "exhaustive", f"disagrees at key {bad}")
 
 
-def _check_fixed_point(g: int, partition) -> tuple[str, str] | None:
-    """Existence and uniqueness by vectorized scan when the genus is
-    enumerated; past the cap only that the expected matrix is fixed."""
+def _check_fixed_point(g: int, within_cap: bool) -> tuple[str, str] | None:
+    """Existence and uniqueness by vectorized scan up to the enumeration
+    cap; past it only that the expected matrix is fixed."""
     expected = fixed_point_matrix(g)
-    if partition is not None:
+    if within_cap:
         ok = fixed_matrices(g) == ((expected,) if expected else ())
         return _verdict(ok, str(expected) if expected else "none")
     if expected is None:
@@ -345,7 +342,7 @@ def _check_fixed_point(g: int, partition) -> tuple[str, str] | None:
     return _verdict(ok, f"{expected} (fixing only)")
 
 
-def _check_normal_forms(g: int, _partition) -> tuple[str, str]:
+def _check_normal_forms(g: int, _within_cap: bool) -> tuple[str, str]:
     bad = [m for m in range((g + 1) // 2 + 1) if class_index(stabilizer_form(g, m)) != m]
     return _verdict(not bad, "all classes", f"wrong class at m={bad}")
 
@@ -359,7 +356,7 @@ def _check_isotropy(g: int, partition) -> tuple[str, str]:
     return _verdict(not failures, "orders and fixing sets", "; ".join(failures))
 
 
-def _check_relations(g: int, _partition) -> tuple[str, str]:
+def _check_relations(g: int, _within_cap: bool) -> tuple[str, str]:
     """Generator involutions, commutation, braid relation, Arf invariance,
     quadratic refinement; exhaustive for g <= 3, sampled above."""
     rng = random.Random(0xC0FFEE + g)
@@ -418,40 +415,48 @@ def _check_sp_crosscheck(g: int, partition) -> tuple[str, str]:
 
 
 # The per-genus checks of verify, in row order: row name, least and greatest
-# genus (None: no bound), whether the check reads the enumerated partition,
-# and the check, (g, partition) -> (status, detail), or None for no row.
+# genus (None: no bound), what the check takes besides g, and the check,
+# (g, taken) -> (status, detail), or None for no row.  It takes
+#   "needs"  the partition, and is skipped past the enumeration cap;
+#   "uses"   the partition, or None past the cap;
+#   "cap"    whether g is within the cap (it reads no partition).
+# If the enumeration's self-check fails, "needs" and "uses" rows print its FAIL.
 _GENUS_CHECKS = (
-    ("orbit-count", 1, None, True, _check_orbit_count),
-    ("orbit-sizes", 1, None, True, _check_orbit_sizes),
-    ("arf-census", 1, None, True, _check_arf_census),
-    ("class-agreement", 3, None, True, _check_class_agreement),
-    ("fixed-point", 1, None, False, _check_fixed_point),
-    ("normal-forms", 3, None, False, _check_normal_forms),
-    ("isotropy", 3, None, False, _check_isotropy),
-    ("relations", 1, None, False, _check_relations),
-    ("sp-crosscheck", 1, MAX_SP_GENUS, True, _check_sp_crosscheck),
+    ("orbit-count", 1, None, "needs", _check_orbit_count),
+    ("orbit-sizes", 1, None, "needs", _check_orbit_sizes),
+    ("arf-census", 1, None, "needs", _check_arf_census),
+    ("class-agreement", 3, None, "needs", _check_class_agreement),
+    ("fixed-point", 1, None, "cap", _check_fixed_point),
+    ("normal-forms", 3, None, "cap", _check_normal_forms),
+    ("isotropy", 3, None, "uses", _check_isotropy),
+    ("relations", 1, None, "cap", _check_relations),
+    ("sp-crosscheck", 1, MAX_SP_GENUS, "needs", _check_sp_crosscheck),
 )
 
 
 def _verify_genus(g: int, max_g: int) -> list[dict]:
     """One row per check of _GENUS_CHECKS whose genus range holds g.
 
-    The partition is enumerated once, up to the cap; past it the checks
-    that read it are skipped, or FAIL if the enumeration's self-check does.
+    The partition is enumerated once, up to the cap.
     """
     cap = min(max_g, MAX_ENUMERATION_GENUS)
-    partition, missing = None, ("SKIP", f"enumeration capped at {cap}")
-    if g <= cap:
+    within_cap = g <= cap
+    partition, failure = None, None
+    if within_cap:
         try:
             partition = enumerate_orbits(g)
         except SelfCheckError as exc:
-            missing = ("FAIL", str(exc))
+            failure = ("FAIL", str(exc))
     rows = []
-    for name, least, greatest, reads_partition, check in _GENUS_CHECKS:
+    for name, least, greatest, takes, check in _GENUS_CHECKS:
         if g < least or (greatest is not None and g > greatest):
             continue
-        if reads_partition and partition is None:
-            result = missing
+        if takes == "cap":
+            result = _run_check(check, g, within_cap)
+        elif failure is not None:
+            result = failure
+        elif takes == "needs" and not within_cap:
+            result = ("SKIP", f"enumeration capped at {cap}")
         else:
             result = _run_check(check, g, partition)
         if result is not None:

@@ -53,6 +53,15 @@ column, an end state other than canonical_form(g, m) (survivors that do
 not alternate pack to some other matrix) and, when recording, a trace word
 that does not replay to it all raise SelfCheckError.
 
+Passes.  The reduction is one generator, _passes, that yields the packed
+key after each guarded pass: the first clear-bottom-columns, one loop pass
+(align, cancel and clear together) or one pack move.  It is Markov: what
+follows a state depends only on that state, since no loop pass leaves a
+(0,1) column and packing keeps the survivors' order.  It is run two ways.
+reduce_to_canonical (and class_index) run it to its end.  class_table walks
+it from each key with no class yet only until it meets a key with one, so
+it steps each of the 4^g keys at most once, every step under its guards.
+
 Trace serialization (one step per line): ``<moveName> <word> -> <matrix>``.
 """
 
@@ -68,6 +77,8 @@ from .gf2 import SpinMatrix
 _FULL = 3  # (1,1)
 _TOP = 1  # (1,0)
 _BOT = 2  # (0,1)
+
+_UNKNOWN = 0xFF  # class_table's mark for a key not yet classified
 
 
 class SelfCheckError(RuntimeError):
@@ -199,24 +210,15 @@ def _rightmost_equal_pair(
     return None
 
 
-def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTrace:
-    """Drive a spin matrix onto its orbit representative, recording the steps.
+def _passes(g: int, top: int, bottom: int, steps: list[ReductionStep] | None):
+    """The reduction of the rows (top, bottom) as a generator of guarded passes.
 
-    Replaying the returned word on the input yields canonical_form(g, m)
-    where m is the reported class index: the end state is compared with
-    that form once, after packing, and any other end state raises
-    SelfCheckError, as does any other failed guard.  Already-canonical
-    inputs return an empty trace.
-
-    >>> trace = reduce_to_canonical(SpinMatrix.from_text("11111/10111"))
-    >>> trace.class_index, trace.total_word
-    (2, (9, 8, 10))
+    A pass is the first clear-bottom-columns, one loop pass (align, cancel
+    and clear together) or one pack move; the packed key is yielded after
+    each.  The generator returns the class index once the end state has
+    been compared with canonical_form(g, m).  Steps are appended to steps
+    unless it is None.
     """
-    g = matrix.g
-    if g < 3:
-        raise ValueError(f"reduction needs genus >= 3, got {g}")
-    top, bottom = matrix.top, matrix.bottom
-    steps: list[ReductionStep] = []
 
     def placed(lo: int, hi: int, t: int, b: int) -> tuple[int, int]:
         """The rows with columns lo..hi rewritten as (t, b), bit 0 at column lo."""
@@ -233,13 +235,14 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
                 f"{name} {format_word(word)} left {SpinMatrix(g, top, bottom)}, "
                 f"not {SpinMatrix(g, *want)}"
             )
-        if record:
+        if steps is not None:
             steps.append(ReductionStep(name, tuple(word), SpinMatrix(g, top, bottom)))
 
     columns = _column_kinds(top, bottom)
     bottoms = [2 * k for k, kind in columns if kind == _BOT]
     if bottoms:
         emit("clear-bottom-columns", bottoms, (top, top & bottom))
+        yield top | bottom << g
         columns = _column_kinds(top, bottom)
 
     while True:
@@ -272,6 +275,7 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
             raise SelfCheckError(
                 f"no progress: {count} -> {remaining} nonzero columns"
             )
+        yield top | bottom << g
 
     for t, (s, kind) in enumerate(columns, start=1):
         if s == t:
@@ -285,14 +289,75 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
             )
         else:
             emit("pack-top-column", range(2 * s - 1, 2 * t, -2), placed(t, s, 1, 0))
+        yield top | bottom << g
 
     m = (len(columns) + 1) // 2
     final = SpinMatrix(g, top, bottom)
     if final != canonical_form(g, m):
         raise SelfCheckError(f"landed on {final}, not the class-{m} form")
-    if record and apply_word(matrix, tuple(i for step in steps for i in step.word)) != final:
+    return m
+
+
+def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTrace:
+    """Drive a spin matrix onto its orbit representative, recording the steps.
+
+    Replaying the returned word on the input yields canonical_form(g, m)
+    where m is the reported class index: the end state is compared with
+    that form once, after packing, and any other end state raises
+    SelfCheckError, as does any other failed guard.  Already-canonical
+    inputs return an empty trace.
+
+    >>> trace = reduce_to_canonical(SpinMatrix.from_text("11111/10111"))
+    >>> trace.class_index, trace.total_word
+    (2, (9, 8, 10))
+    """
+    g = matrix.g
+    if g < 3:
+        raise ValueError(f"reduction needs genus >= 3, got {g}")
+    steps: list[ReductionStep] | None = [] if record else None
+    passes = _passes(g, matrix.top, matrix.bottom, steps)
+    while True:
+        try:
+            next(passes)
+        except StopIteration as stop:
+            m = stop.value
+            break
+    if not record:
+        return ReductionTrace(matrix, (), m)
+    if apply_word(matrix, tuple(i for step in steps for i in step.word)) != canonical_form(g, m):
         raise SelfCheckError("trace word does not replay to the final matrix")
     return ReductionTrace(matrix, tuple(steps), m)
+
+
+def class_table(g: int) -> bytearray:
+    """The class index of every packed key 0..4^g-1, one byte each.
+
+    From each key with no class yet, walk _passes until a key whose class
+    is known, or the end of the reduction, and write that class along the
+    walked path; the passes are Markov (see the module docstring).
+    """
+    if g < 3:
+        raise ValueError(f"reduction needs genus >= 3, got {g}")
+    table = bytearray([_UNKNOWN]) * (1 << 2 * g)
+    mask = (1 << g) - 1
+    for key in range(len(table)):
+        if table[key] != _UNKNOWN:
+            continue
+        path = [key]
+        passes = _passes(g, key & mask, key >> g, None)
+        while True:
+            try:
+                state = next(passes)
+            except StopIteration as stop:
+                m = stop.value
+                break
+            m = table[state]
+            if m != _UNKNOWN:
+                break
+            path.append(state)
+        for state in path:
+            table[state] = m
+    return table
 
 
 def class_index(matrix: SpinMatrix) -> int:

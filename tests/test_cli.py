@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from hyperspin import (
     cli,
-    class_index,
     normalform,
     predicted_stabilizer_order,
     sp_transvection_orbits,
@@ -261,7 +260,13 @@ def test_verify_json_payload(capsys):
 
 def test_verify_class_agreement_names_the_least_bad_key(capsys, monkeypatch):
     # keys 20 and 50 are not orbit seeds at g = 3 (those are 0, 9 and 47)
-    monkeypatch.setattr(cli, "class_index", lambda m: class_index(m) + (m.key() in (20, 50)))
+    def table_off_by_one(g):
+        table = normalform.class_table(g)
+        table[20] += 1
+        table[50] += 1
+        return table
+
+    monkeypatch.setattr(cli, "class_table", table_off_by_one)
     code, out, _ = run(capsys, "verify", "3")
     assert code == EXIT_CHECK_FAILED
     assert "3\tclass-agreement\tFAIL\tdisagrees at key 20" in out.splitlines()
@@ -331,13 +336,25 @@ def test_verify_reports_a_failed_enumeration_in_the_rows_that_read_it(capsys, mo
         "normal-forms", "isotropy", "relations", "sp-crosscheck", "golden-traces",
     ]
     reads_partition = {
-        "orbit-count", "orbit-sizes", "arf-census", "class-agreement", "sp-crosscheck",
+        "orbit-count", "orbit-sizes", "arf-census", "class-agreement", "isotropy",
+        "sp-crosscheck",
     }
     for _, check, status, detail in rows:
         if check in reads_partition:
             assert (status, detail) == ("FAIL", "injected failure")
         else:
             assert status == "PASS"
+
+
+def test_verify_scans_for_fixed_points_when_the_enumeration_fails(capsys, monkeypatch):
+    # the scan reads no partition, so it runs at every genus within the cap
+    monkeypatch.setattr(cli, "enumerate_orbits", _raise(SelfCheckError))
+    code, out, _ = run(capsys, "verify", "3..4")
+    assert code == EXIT_CHECK_FAILED
+    rows = out.splitlines()
+    assert "3\tfixed-point\tPASS\t111/101" in rows
+    assert "4\tfixed-point\tPASS\tnone" in rows
+    assert "3\tisotropy\tFAIL\tinjected failure" in rows
 
 
 def test_verify_reports_reducer_guard_failures_as_rows(capsys, monkeypatch):

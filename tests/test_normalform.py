@@ -335,6 +335,57 @@ def test_class_index_is_invariant_under_random_words(data):
     assert class_index(apply_word(m, word)) == class_index(m)
 
 
+# ---------------------------------------------------------------------------
+# the class table
+
+
+@pytest.mark.parametrize("g", range(3, 8))
+def test_class_table_equals_class_index_at_every_key(g):
+    table = normalform.class_table(g)
+    assert len(table) == 1 << (2 * g)
+    assert list(table) == [class_index(m) for m in every_matrix(g)]
+
+
+def test_class_table_steps_each_key_at_most_once(monkeypatch):
+    g = 6
+    expected = bytes(class_index(m) for m in every_matrix(g))
+    passes = normalform._passes
+    stepped = []
+
+    def counted(g, top, bottom, steps):
+        source = top | bottom << g
+        walk = passes(g, top, bottom, steps)
+        while True:
+            try:
+                key = next(walk)
+            except StopIteration as stop:
+                return stop.value
+            stepped.append(source)
+            source = key
+            yield key
+
+    monkeypatch.setattr(normalform, "_passes", counted)
+    assert normalform.class_table(g) == expected
+    assert len(stepped) <= 1 << (2 * g)
+    assert len(set(stepped)) == len(stepped)
+
+
+def test_class_table_raises_on_a_faulty_action(monkeypatch):
+    # every letter but s_1 acts as the identity, so some guarded pass must fail
+    act = normalform._act_letter
+    monkeypatch.setattr(
+        normalform, "_act_letter",
+        lambda g, top, bottom, i: act(g, top, bottom, i) if i == 1 else (top, bottom),
+    )
+    with pytest.raises(SelfCheckError):
+        normalform.class_table(5)
+
+
+def test_class_table_rejects_small_genus():
+    with pytest.raises(ValueError):
+        normalform.class_table(2)
+
+
 def test_stabilizer_forms_reduce_to_their_class():
     for g in range(3, 11):
         for m in range((g + 1) // 2 + 1):
