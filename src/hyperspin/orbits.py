@@ -2,9 +2,12 @@
 
 States are packed keys (top word in the low g bits, bottom word above).
 Each generator orbit is a bitset of all keys closed under the 2g+1 twists,
-up to the enumeration ceiling g = 12 (2^24 states); the transvection
-orbits, and the tests' oracle for that closure, come from a breadth-first
-search over key arrays.
+up to the enumeration ceiling g = 12 (2^24 states).  The transvection
+orbits are closed the same way, under the twists about the 2g+1 Humphries
+curves: these generate the mapping class group (Humphries 1979; Farb and
+Margalit, A Primer on Mapping Class Groups, Sec. 4.4), which maps onto
+Sp(2g, Z/2) (Primer, Thm 6.4), so they have the orbits of all
+transvections.
 
 Determinism: orbits are seeded in increasing key order and labelled by
 their minimum packed key, so the partition, census and all derived tables
@@ -64,6 +67,16 @@ def _generator_keys(g: int) -> list[int]:
     return [gamma.a | gamma.b << g for gamma in gammas]
 
 
+def _humphries_keys(g: int) -> list[int]:
+    """The 2g+1 Humphries curves, packed: the chain s_1..s_{2g}, then beta_2.
+
+    beta_2 meets s_4 = alpha_2 and no other chain curve; at g = 1 the
+    chain s_1, s_2 alone generates.
+    """
+    chain = _generator_keys(g)[: 2 * g]
+    return chain + [1 << (g + 1)] if g >= 2 else chain
+
+
 def apply_generator_keys(g: int, i: int, keys: np.ndarray) -> np.ndarray:
     """Vectorized generator action: the twist about generator_class(i, g)."""
     gamma = generator_class(i, g)
@@ -99,63 +112,24 @@ def first_disagreement(partition: OrbitPartition, values) -> int | None:
     return None
 
 
-def _bfs_partition(g: int, classes) -> tuple[np.ndarray, dict[int, int]]:
-    """Orbit ordinals and sizes of the partition under twists about classes.
-
-    The BFS runs on twist classes: each frontier is pushed through
-    twist_keys(g, gamma_key, frontier) for every packed class gamma_key.
-    ordinals[key] = k puts key in the k-th orbit found and 0 marks it
-    unseen, so one uint8 map is both the partition and the seen test of the
-    per-edge gather.  Seeds are found by scanning it for its next 0, so in
-    increasing key order, and each is the minimum key of its orbit.  No
-    batch needs a dedupe: a twist is an involution, hence injective, so its
-    images of a duplicate-free frontier hold no repeats, and marking each
-    batch before the next twist runs keeps out keys that two twists both
-    reach.  sizes maps each seed to its orbit's size, so its k-th key is the
-    seed of ordinal k.
-    """
-    ordinals = np.zeros(1 << (2 * g), dtype=np.uint8)
-    sizes: dict[int, int] = {}
-    seed = 0
-    while True:
-        seed += int(np.argmin(ordinals[seed:]))
-        if ordinals[seed]:
-            return ordinals, sizes
-        ordinal = len(sizes) + 1
-        if ordinal > 255:  # the largest uint8 ordinal
-            raise SelfCheckError("more than 255 orbits")
-        ordinals[seed] = ordinal
-        size = 1
-        frontier = np.array([seed], dtype=np.uint32)
-        while frontier.size:
-            fresh = []
-            for gamma_key in classes:
-                images = twist_keys(g, gamma_key, frontier)
-                new = images[np.take(ordinals, images) == 0]
-                if new.size:
-                    ordinals[new] = ordinal
-                    size += new.size
-                    fresh.append(new)
-            frontier = np.concatenate(fresh) if fresh else np.empty(0, dtype=np.uint32)
-        sizes[seed] = size
-
-
 def _bitset(g: int) -> np.ndarray:
     """Zeroed little-endian words, key k at bit k & 63 of word k >> 6, shaped for _twist_plan."""
     return np.zeros((2,) * max(2 * g - 6, 0) + (1,), dtype="<u8")
 
 
 def _twist_plan(g: int, gamma_key: int):
-    """The twist about a generator class as (moves, swaps) on a _bitset.
+    """The twist about a class with a & b = 0 as (moves, swaps) on a _bitset.
 
     A _bitset has an axis of length 2 per key bit from bit 6 up (2g-1 first)
     and a last axis of length 1, so fixing every other axis leaves a view.
-    For a generator class a & b = 0: the twist moves the keys whose one or
-    two condition bits (gamma_key) have even parity and flips the disjoint
+    For a & b = 0 (other classes raise ValueError): the twist moves the keys
+    whose condition bits (gamma_key) have even parity and flips the disjoint
     bits b | a << g, as bits[dst] |= swapped(bits[src] & keep) for each move.
     A condition bit fixes its axis, one move per value, or is in the word
     mask keep; a flipped bit reverses its axis in src, or is a delta swap.
     """
+    if gamma_key >> g & gamma_key:
+        raise ValueError(f"twist plan needs a & b = 0; got class key {gamma_key}")
     delta = gamma_key >> g | (gamma_key & ((1 << g) - 1)) << g
     axis = {b: 2 * g - 1 - b for b in range(6, 2 * g)}
     cond = [b for b in axis if gamma_key >> b & 1]
@@ -191,14 +165,17 @@ def _sweep(bits: np.ndarray, plans) -> None:
 
 
 def _closure_partition(g: int, classes) -> tuple[np.ndarray, dict[int, int]]:
-    """The (ordinals, sizes) of _bfs_partition(g, classes), as bitset closures.
+    """Orbit ordinals and sizes of the partition under twists about classes.
 
-    Each orbit is a _bitset S seeded with the least key the map still marks
-    unseen, its minimum key.  Sweeps S |= tau(S & F), F the keys a twist tau
-    moves, run through the classes and back until one leaves the popcount
-    of S unchanged.  Each |= of that sweep added nothing, so tau(S & F) lies
-    in S for every class: S is closed, and, grown from the seed by twists,
-    it is the seed's orbit.  Its ordinal goes into the map in key blocks.
+    ordinals[key] = k puts key in the k-th orbit found and 0 marks it
+    unseen; sizes maps each orbit's seed to its size, so its k-th key is the
+    seed of ordinal k.  Each orbit is a _bitset S seeded with the least key
+    the map still marks unseen, its minimum key.  Sweeps S |= tau(S & F),
+    F the keys a twist tau moves, run through the classes and back until
+    one leaves the popcount of S unchanged.  Each |= of that sweep added
+    nothing, so tau(S & F) lies in S for every class: S is closed, and,
+    grown from the seed by twists, it is the seed's orbit.  Its ordinal
+    goes into the map in key blocks.
     """
     sweep = [_twist_plan(g, gamma_key) for gamma_key in classes]
     sweep += sweep[-2:0:-1]  # s_1..s_n..s_2: no twist twice in a row
@@ -238,10 +215,11 @@ def _closure_partition(g: int, classes) -> tuple[np.ndarray, dict[int, int]]:
 class OrbitPartition:
     """Partition of all packed keys into orbits.
 
-    enumerate_orbits builds it under the 2g+1 generators by bitset closure,
-    sp_transvection_orbits under the twists about every nonzero class by
-    BFS.  The orbit sizes are the search's own counts, shared by sizes(),
-    orbit_ids and orbit_count.  Equality is identity.
+    Both are bitset closures: enumerate_orbits under the 2g+1 generators,
+    sp_transvection_orbits under the 2g+1 Humphries twists, whose orbits
+    are those of every transvection.  The orbit sizes are the closure's own
+    counts, shared by sizes(), orbit_ids and orbit_count.  Equality is
+    identity.
     """
 
     g: int
@@ -397,17 +375,20 @@ def verify_isotropy(
 
 
 def sp_transvection_orbits(g: int) -> OrbitPartition:
-    """Partition under twists about every nonzero class (the full group).
+    """Partition under the transvections, closed over the Humphries twists.
 
-    Exactly two orbits must appear, with constant Arf and sizes
-    2^(g-1) (2^g + 1) and 2^(g-1) (2^g - 1); anything else raises
-    SelfCheckError.
+    The twists about the 2g+1 Humphries curves (_humphries_keys) generate
+    the mapping class group (Humphries 1979; Primer Sec. 4.4), which maps
+    onto Sp(2g, Z/2) (Primer, Thm 6.4), so their orbits are those of the
+    twists about every nonzero class.  Exactly two orbits must appear, with
+    constant Arf and sizes 2^(g-1) (2^g + 1) and 2^(g-1) (2^g - 1);
+    anything else raises SelfCheckError.
     """
     if not 1 <= g <= MAX_SP_GENUS:
         raise ValueError(
             f"transvection enumeration supports 1 <= g <= {MAX_SP_GENUS}; got {g}"
         )
-    partition = OrbitPartition(g, *_bfs_partition(g, range(1, 1 << (2 * g))))
+    partition = OrbitPartition(g, *_closure_partition(g, _humphries_keys(g)))
     sizes = partition.sizes()
     if len(sizes) != 2:
         raise SelfCheckError(f"expected 2 transvection orbits, found {len(sizes)}")

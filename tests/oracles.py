@@ -1,0 +1,49 @@
+"""A breadth-first orbit partition over key arrays, the tests' oracle.
+
+It shares no code with the bitset closure behind enumerate_orbits and
+sp_transvection_orbits: it steps key arrays through twist_keys, which takes
+any class, where the closure compiles each class into a _twist_plan.
+"""
+
+import numpy as np
+
+from hyperspin.orbits import SelfCheckError, twist_keys
+
+
+def bfs_partition(g, classes):
+    """Orbit ordinals and sizes of the partition under twists about classes.
+
+    The return value is _closure_partition's: ordinals[key] = k puts key in
+    the k-th orbit found and 0 marks it unseen, and sizes maps each seed to
+    its orbit's size.  The one uint8 map is also the seen test of the
+    per-edge gather.  Seeds are found by scanning it for its next 0, so in
+    increasing key order, and each is the minimum key of its orbit.  No
+    batch needs a dedupe: a twist is an involution, hence injective, so its
+    images of a duplicate-free frontier hold no repeats, and marking each
+    batch before the next twist runs keeps out keys that two twists both
+    reach.
+    """
+    ordinals = np.zeros(1 << (2 * g), dtype=np.uint8)
+    sizes = {}
+    seed = 0
+    while True:
+        seed += int(np.argmin(ordinals[seed:]))
+        if ordinals[seed]:
+            return ordinals, sizes
+        ordinal = len(sizes) + 1
+        if ordinal > 255:  # the largest uint8 ordinal
+            raise SelfCheckError("more than 255 orbits")
+        ordinals[seed] = ordinal
+        size = 1
+        frontier = np.array([seed], dtype=np.uint32)
+        while frontier.size:
+            fresh = []
+            for gamma_key in classes:
+                images = twist_keys(g, gamma_key, frontier)
+                new = images[np.take(ordinals, images) == 0]
+                if new.size:
+                    ordinals[new] = ordinal
+                    size += new.size
+                    fresh.append(new)
+            frontier = np.concatenate(fresh) if fresh else np.empty(0, dtype=np.uint32)
+        sizes[seed] = size

@@ -36,6 +36,7 @@ from hyperspin import (
     verify_isotropy,
 )
 from hyperspin.cli import main as cli_main
+from hyperspin.orbits import MAX_SP_GENUS
 from points import bubble_word, cycles, images_of_word
 
 _partitions: dict[int, object] = {}
@@ -260,7 +261,7 @@ def test_criterion_8_algebra_properties():
 
 def test_criterion_9_transvection_crosscheck():
     with criterion(9, "full transvection action splits by Arf"):
-        for g in range(1, 6):
+        for g in range(1, MAX_SP_GENUS + 1):
             sp = sp_transvection_orbits(g)  # self-checks orbit count and Arf
             half = 1 << (g - 1)
             assert sorted(sp.sizes().values(), reverse=True) == [

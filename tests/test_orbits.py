@@ -25,18 +25,21 @@ from hyperspin import (
     verify_isotropy,
 )
 from hyperspin.orbits import (
+    MAX_SP_GENUS,
     OrbitPartition,
     SelfCheckError,
-    _bfs_partition,
     _closure_partition,
     _generator_keys,
+    _humphries_keys,
+    _twist_plan,
     apply_generator_keys,
     arf_keys,
     first_disagreement,
     twist_keys,
 )
 from hyperspin.braid import apply_generator
-from hyperspin.gf2 import HomologyClass, dehn_twist
+from hyperspin.gf2 import HomologyClass, dehn_twist, intersection
+from oracles import bfs_partition
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +192,7 @@ def test_partition_equality_is_identity(partitions):
 def test_bfs_refuses_a_256th_orbit():
     # no twist classes make every key its own orbit
     with pytest.raises(SelfCheckError, match="255"):
-        _bfs_partition(5, ())
+        bfs_partition(5, ())
 
 
 def test_closure_matches_the_bfs():
@@ -197,9 +200,48 @@ def test_closure_matches_the_bfs():
     for g in range(1, 11):
         classes = _generator_keys(g)
         closure_ordinals, closure_sizes = _closure_partition(g, classes)
-        bfs_ordinals, bfs_sizes = _bfs_partition(g, classes)
+        bfs_ordinals, bfs_sizes = bfs_partition(g, classes)
         assert np.array_equal(closure_ordinals, bfs_ordinals), g
         assert list(closure_sizes.items()) == list(bfs_sizes.items()), g
+
+
+def test_humphries_closure_matches_the_transvection_bfs():
+    # 2g+1 Humphries twists against the twists about all 4^g - 1 classes
+    for g in range(1, MAX_SP_GENUS + 1):
+        sp = sp_transvection_orbits(g)
+        bfs_ordinals, bfs_sizes = bfs_partition(g, range(1, 1 << (2 * g)))
+        assert np.array_equal(sp.ordinals, bfs_ordinals), g
+        assert list(sp.sizes().items()) == list(bfs_sizes.items()), g
+
+
+def test_humphries_curves_are_a_chain_with_beta_2_on_s_4():
+    for g in range(1, 13):
+        keys = _humphries_keys(g)
+        # the closure's twist plans need a & b = 0
+        for key in keys + _generator_keys(g):
+            assert key >> g & key == 0, (g, key)
+        assert keys[: 2 * g] == _generator_keys(g)[: 2 * g]
+        assert len(keys) == (2 * g + 1 if g >= 2 else 2)
+        if g < 2:
+            continue
+        curves = [HomologyClass(g, key & ((1 << g) - 1), key >> g) for key in keys]
+        edges = {
+            (i, j)
+            for j in range(len(curves))
+            for i in range(j)
+            if intersection(curves[i], curves[j])
+        }
+        # s_1 - ... - s_2g, and beta_2 (index 2g) on s_4 (index 3) alone
+        assert edges == {(i, i + 1) for i in range(2 * g - 1)} | {(3, 2 * g)}, g
+
+
+def test_twist_plan_refuses_a_class_with_a_and_b_overlapping():
+    # alpha_1 + beta_1 at g = 3: a bitset plan would run a different twist
+    gamma_key = 1 | 1 << 3
+    with pytest.raises(ValueError, match="a & b = 0"):
+        _twist_plan(3, gamma_key)
+    with pytest.raises(ValueError, match="a & b = 0"):
+        _closure_partition(3, [gamma_key])
 
 
 def test_closure_refuses_a_256th_orbit():
@@ -214,7 +256,7 @@ def _recount(labels: np.ndarray) -> dict[int, int]:
 
 def test_sizes_match_an_independent_recount():
     parts = [enumerate_orbits(g) for g in range(1, 11)]
-    parts += [sp_transvection_orbits(g) for g in range(1, 6)]
+    parts += [sp_transvection_orbits(g) for g in range(1, MAX_SP_GENUS + 1)]
     for part in parts:
         assert list(part.sizes().items()) == list(_recount(part.labels).items())
 
@@ -331,7 +373,7 @@ def test_isotropy_reports_a_form_fixed_by_its_moving_generator_once(monkeypatch)
 
 
 def test_sp_orbits_sizes():
-    for g in range(1, 5):
+    for g in range(1, MAX_SP_GENUS + 1):
         sizes = sorted(sp_transvection_orbits(g).sizes().values(), reverse=True)
         half = 1 << (g - 1)
         assert sizes == [half * ((1 << g) + 1), half * ((1 << g) - 1)]
