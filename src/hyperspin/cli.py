@@ -353,7 +353,8 @@ def _check_isotropy(g: int, partition) -> tuple[str, str]:
         for m in range((g + 1) // 2 + 1)
         for text in verify_isotropy(g, m, partition).failures
     ]
-    return _verdict(not failures, "orders and fixing sets", "; ".join(failures))
+    detail = "fixing sets only" if partition is None else "orders and fixing sets"
+    return _verdict(not failures, detail, "; ".join(failures))
 
 
 def _check_relations(g: int, _within_cap: bool) -> tuple[str, str]:

@@ -46,7 +46,7 @@ class HomologyClass:
     """A Z/2 first-homology class of a genus-g surface.
 
     >>> x = HomologyClass(3, a=0b001, b=0b010)   # alpha_1 + beta_2
-    >>> (x + x).is_zero()
+    >>> x + x == HomologyClass(3, 0, 0)
     True
     """
 
@@ -66,21 +66,14 @@ class HomologyClass:
             raise ValueError(f"genus mismatch: {self.g} != {other.g}")
         return HomologyClass(self.g, self.a ^ other.a, self.b ^ other.b)
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    @classmethod
-    def zero(cls, g: int) -> "HomologyClass":
-        return cls(g, 0, 0)
-
 
 @dataclass(frozen=True)
 class SpinMatrix:
     """A spin structure as its 2 x g matrix of basis values.
 
     >>> m = SpinMatrix.from_text("11111/10111")
-    >>> m.g, m.column(4)
-    (5, (1, 1))
+    >>> m.g, m.top >> 3 & 1, m.bottom >> 3 & 1   # column 4 is bit 3
+    (5, 1, 1)
     >>> str(m)
     '11111/10111'
     """
@@ -96,12 +89,6 @@ class SpinMatrix:
         if not 0 <= self.top <= mask or not 0 <= self.bottom <= mask:
             raise ValueError("row word out of range for genus")
 
-    def column(self, k: int) -> tuple[int, int]:
-        """The pair (c(alpha_k), c(beta_k)), 1-based."""
-        if not 1 <= k <= self.g:
-            raise ValueError(f"column {k} out of range for genus {self.g}")
-        return (self.top >> (k - 1)) & 1, (self.bottom >> (k - 1)) & 1
-
     def __str__(self) -> str:
         return f"{_bits_to_text(self.top, self.g)}/{_bits_to_text(self.bottom, self.g)}"
 
@@ -116,10 +103,6 @@ class SpinMatrix:
         if not top_text:
             raise ValueError("matrix rows must be non-empty")
         return cls(len(top_text), _text_to_bits(top_text), _text_to_bits(bottom_text))
-
-    @classmethod
-    def zero(cls, g: int) -> "SpinMatrix":
-        return cls(g, 0, 0)
 
     def key(self) -> int:
         """Pack into a 2g-bit integer: top word in the low bits."""

@@ -54,13 +54,18 @@ not alternate pack to some other matrix) and, when recording, a trace word
 that does not replay to it all raise SelfCheckError.
 
 Passes.  The reduction is one generator, _passes, that yields the packed
-key after each guarded pass: the first clear-bottom-columns, one loop pass
-(align, cancel and clear together) or one pack move.  It is Markov: what
-follows a state depends only on that state, since no loop pass leaves a
-(0,1) column and packing keeps the survivors' order.  It is run two ways.
-reduce_to_canonical (and class_index) run it to its end.  class_table walks
-it from each key with no class yet only until it meets a key with one, so
-it steps each of the 4^g keys at most once, every step under its guards.
+key top | bottom << g after each guarded pass: the first
+clear-bottom-columns, one loop pass (align, cancel and clear together) or
+one pack move.  It is Markov: what follows a state depends only on that
+state, since no loop pass leaves a (0,1) column and packing keeps the
+survivors' order.  Every pass lowers the key: the first
+clear-bottom-columns clears bottom bits, a loop pass zeroes its window and
+leaves the other columns alone, and a pack move shifts one column's bits
+to a column further left.  It is run two ways.  reduce_to_canonical (and
+class_index) run it to its end.  class_table runs one pass per key in
+increasing key order and takes the class of the lower key it lands on, so
+it steps every key but the canonical forms exactly once, every step under
+its guards, and raises SelfCheckError on a pass that does not lower the key.
 
 Trace serialization (one step per line): ``<moveName> <word> -> <matrix>``.
 """
@@ -77,8 +82,6 @@ from .gf2 import SpinMatrix
 _FULL = 3  # (1,1)
 _TOP = 1  # (1,0)
 _BOT = 2  # (0,1)
-
-_UNKNOWN = 0xFF  # class_table's mark for a key not yet classified
 
 
 class SelfCheckError(RuntimeError):
@@ -174,6 +177,12 @@ class ReductionStep:
 
 @dataclass(frozen=True)
 class ReductionTrace:
+    """A reduction of start onto canonical_form(g, class_index).
+
+    steps and total_word are empty unless the reduction was recorded;
+    result is the canonical form either way.
+    """
+
     start: SpinMatrix
     steps: tuple[ReductionStep, ...]
     class_index: int
@@ -184,7 +193,7 @@ class ReductionTrace:
 
     @property
     def result(self) -> SpinMatrix:
-        return self.steps[-1].after if self.steps else self.start
+        return canonical_form(self.start.g, self.class_index)
 
 
 def _column_kinds(top: int, bottom: int) -> list[tuple[int, int]]:
@@ -332,31 +341,27 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
 def class_table(g: int) -> bytearray:
     """The class index of every packed key 0..4^g-1, one byte each.
 
-    From each key with no class yet, walk _passes until a key whose class
-    is known, or the end of the reduction, and write that class along the
-    walked path; the passes are Markov (see the module docstring).
+    Every pass lowers the packed key, so in increasing key order the first
+    pass from a key lands on a key already in the table, whose class is
+    this key's since the passes are Markov (see the module docstring).  A
+    key no pass applies to gets the class _passes returns after its
+    end-state check.  A pass that does not lower the key raises
+    SelfCheckError.
     """
     if g < 3:
         raise ValueError(f"reduction needs genus >= 3, got {g}")
-    table = bytearray([_UNKNOWN]) * (1 << 2 * g)
+    table = bytearray(1 << 2 * g)
     mask = (1 << g) - 1
     for key in range(len(table)):
-        if table[key] != _UNKNOWN:
-            continue
-        path = [key]
         passes = _passes(g, key & mask, key >> g, None)
-        while True:
-            try:
-                state = next(passes)
-            except StopIteration as stop:
-                m = stop.value
-                break
-            m = table[state]
-            if m != _UNKNOWN:
-                break
-            path.append(state)
-        for state in path:
-            table[state] = m
+        try:
+            state = next(passes)
+        except StopIteration as stop:
+            table[key] = stop.value
+            continue
+        if state >= key:
+            raise SelfCheckError(f"a pass from key {key} reached key {state}, not a lower one")
+        table[key] = table[state]
     return table
 
 

@@ -218,8 +218,7 @@ class OrbitPartition:
     Both are bitset closures: enumerate_orbits under the 2g+1 generators,
     sp_transvection_orbits under the 2g+1 Humphries twists, whose orbits
     are those of every transvection.  The orbit sizes are the closure's own
-    counts, shared by sizes(), orbit_ids and orbit_count.  Equality is
-    identity.
+    counts, shared by sizes() and orbit_ids.  Equality is identity.
     """
 
     g: int
@@ -229,10 +228,6 @@ class OrbitPartition:
     @property
     def orbit_ids(self) -> tuple[int, ...]:
         return tuple(self._sizes)
-
-    @property
-    def orbit_count(self) -> int:
-        return len(self._sizes)
 
     @property
     def labels(self) -> np.ndarray:

@@ -236,6 +236,7 @@ def test_verify_skips_above_ceiling(capsys):
     assert "orbit-count\tSKIP" in out
     assert "normal-forms\tPASS" in out  # symbolic checks still run
     assert "5\tfixed-point\tPASS\t11111/10101 (fixing only)" in out.splitlines()
+    assert "5\tisotropy\tPASS\tfixing sets only" in out.splitlines()
     assert "5\tsp-crosscheck\tSKIP\tenumeration capped at 4" in out.splitlines()
     # a --max-g above the hard ceiling of 12 acts as 12, and the notice says so
     code, out, _ = run(capsys, "verify", "13", "--max-g", "20")
@@ -298,10 +299,12 @@ def test_verify_sp_crosscheck_fails_when_genus_two_partitions_differ(capsys, mon
         # every genus gate: g < 3, the sp-crosscheck ceiling, the enumeration cap
         (
             ["verify", "1..14", "--max-g", "4"],
-            "0d019985103568db970772f5f8519811cd03f7147808ecd8051a826bc420a5ab",
+            "b6d5f994e81dd1da1d0ef29d103d18ef431625ca112c4971cd0cd436820b149f",
         ),
         # the exhaustive-reduction cap of class-agreement
         (["verify", "9"], "48b7b0044c2e71ec219b5dcaffd4571347c9caec637e9df9ddfe50ed5f546c43"),
+        # the default range 3..8, every class-agreement row included
+        (["verify"], "a0576f254a89f336c9124cade8abcfb67dbb33e912353f4138e83cd521507550"),
     ],
 )
 def test_verify_rows_are_pinned(capsys, argv, digest):

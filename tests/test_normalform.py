@@ -40,8 +40,8 @@ def test_alternating_block_shapes():
     assert str(canonical_form(5, 3)) == "11111/10101"
     block = canonical_form(7, 4)
     assert block.g == 7
-    full = [k for k in range(1, 8) if block.column(k) == (1, 1)]
-    tops = [k for k in range(1, 8) if block.column(k) == (1, 0)]
+    full = [k for k in range(1, 8) if (block.top & block.bottom) >> (k - 1) & 1]
+    tops = [k for k in range(1, 8) if (block.top & ~block.bottom) >> (k - 1) & 1]
     assert full == [1, 3, 5, 7] and tops == [2, 4, 6]
 
 
@@ -190,6 +190,14 @@ def test_reduction_of_second_reference_matrix():
     assert str(trace.result) == "000000/000000"
 
 
+def test_unrecorded_trace_names_the_canonical_result():
+    start = SpinMatrix.from_text("11111/10111")
+    trace = reduce_to_canonical(start, record=False)
+    assert trace.steps == () and trace.total_word == ()
+    assert str(trace.result) == "11100/10100"
+    assert trace.result == reduce_to_canonical(start).result
+
+
 def test_reduction_trace_serialization():
     trace = reduce_to_canonical(SpinMatrix.from_text("11111/10111"))
     assert [step.to_text() for step in trace.steps] == [
@@ -208,7 +216,7 @@ def test_reduction_of_canonical_input_is_empty():
 
 def test_reduction_rejects_small_genus():
     with pytest.raises(ValueError):
-        reduce_to_canonical(SpinMatrix.zero(2))
+        reduce_to_canonical(SpinMatrix(2, 0, 0))
 
 
 def test_reduction_guards_fire_when_a_letter_does_nothing(monkeypatch):
@@ -347,6 +355,7 @@ def test_class_table_equals_class_index_at_every_key(g):
 
 
 def test_class_table_steps_each_key_at_most_once(monkeypatch):
+    # exactly once, in fact, for every key but the canonical forms
     g = 6
     expected = bytes(class_index(m) for m in every_matrix(g))
     passes = normalform._passes
@@ -366,8 +375,44 @@ def test_class_table_steps_each_key_at_most_once(monkeypatch):
 
     monkeypatch.setattr(normalform, "_passes", counted)
     assert normalform.class_table(g) == expected
-    assert len(stepped) <= 1 << (2 * g)
-    assert len(set(stepped)) == len(stepped)
+    canonical = {canonical_form(g, m).key() for m in range((g + 1) // 2 + 1)}
+    assert sorted(stepped) == [key for key in range(1 << (2 * g)) if key not in canonical]
+
+
+@pytest.mark.parametrize("g", [3, 4, 5, 6, 7])
+def test_every_pass_lowers_the_packed_key(g):
+    mask = (1 << g) - 1
+    unstepped = set()
+    for key in range(1 << (2 * g)):
+        passes = normalform._passes(g, key & mask, key >> g, None)
+        before = key
+        while True:
+            try:
+                after = next(passes)
+            except StopIteration:
+                break
+            assert after < before, f"g={g}: a pass from key {before} reached {after}"
+            before = after
+        if before == key:
+            unstepped.add(key)
+    assert unstepped == {canonical_form(g, m).key() for m in range((g + 1) // 2 + 1)}
+
+
+def test_class_table_raises_on_a_pass_that_does_not_lower_the_key(monkeypatch):
+    passes = normalform._passes
+
+    def rising(g, top, bottom, steps):
+        walk = passes(g, top, bottom, steps)
+        while True:
+            try:
+                next(walk)
+            except StopIteration as stop:
+                return stop.value
+            yield (1 << 2 * g) - 1
+
+    monkeypatch.setattr(normalform, "_passes", rising)
+    with pytest.raises(SelfCheckError, match="not a lower one"):
+        normalform.class_table(4)
 
 
 def test_class_table_raises_on_a_faulty_action(monkeypatch):
