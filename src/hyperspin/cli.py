@@ -564,6 +564,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    # Older argparse (3.11 among them) drops every "--" from a positional's
+    # strings, so "isotropy 3 -- --" leaves m an empty list; no argument of
+    # this CLI takes a list.
+    if any(isinstance(value, list) for value in vars(args).values()):
+        print("error: a positional argument is missing", file=sys.stderr)
+        return EXIT_USAGE
     # Stabilizer orders are exact and can pass Python's default limit on
     # int -> str digits; lift it for the command and restore it afterwards.
     digit_limit = sys.get_int_max_str_digits()

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyperspin import (
@@ -414,6 +414,8 @@ _FLAGS = st.lists(
     st.lists(_TOKENS, max_size=3),
     _FLAGS,
 )
+@example("isotropy", ["1_0", "--", "--"], [])
+@example("classify", ["1_0", "--", "--"], [])
 def test_any_argv_exits_with_a_documented_code(command, tokens, flags):
     # a bare verify runs the default range 3..8, seconds a run; other tests run it
     assume(command != "verify" or tokens)
