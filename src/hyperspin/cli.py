@@ -484,8 +484,7 @@ def _check_golden_traces() -> tuple[str, str]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.range)
     max_g = args.max_g
-    # argparse passes "--max-g=--" through as an empty list
-    if not isinstance(max_g, int) or max_g < 1:
+    if max_g < 1:
         raise UsageError("--max-g must be an integer >= 1")
     started = time.perf_counter()
 
@@ -564,12 +563,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    # Older argparse (3.11 among them) drops every "--" from a positional's
-    # strings, so "isotropy 3 -- --" leaves m an empty list; no argument of
-    # this CLI takes a list.
-    if any(isinstance(value, list) for value in vars(args).values()):
-        print("error: a positional argument is missing", file=sys.stderr)
-        return EXIT_USAGE
+    # Older argparse (3.11 among them) drops every "--" from an argument's
+    # strings: "isotropy 3 -- --" leaves m an empty list, as "--max-g=--"
+    # leaves max_g; no argument of this CLI takes a list.
+    for dest, value in vars(args).items():
+        if isinstance(value, list):
+            name = "--max-g" if dest == "max_g" else dest  # as the usage line spells it
+            print(f"error: argument {name} is missing its value", file=sys.stderr)
+            return EXIT_USAGE
     # Stabilizer orders are exact and can pass Python's default limit on
     # int -> str digits; lift it for the command and restore it afterwards.
     digit_limit = sys.get_int_max_str_digits()

@@ -48,24 +48,23 @@ Each move states its window's exact columns afterwards; the rest stay:
                         range(2t+2, 2s+2, 2)
   pack-top-column       range(2s-1, 2t, -2)             t..s    (1,0) (0,0) ...
 
-A step that leaves any other matrix, a pass that removes no nonzero
-column, an end state other than canonical_form(g, m) (survivors that do
-not alternate pack to some other matrix) and, when recording, a trace word
-that does not replay to it all raise SelfCheckError.
+A step that leaves any other matrix, a pass that does not lower the packed
+key top | bottom << g, an end state other than canonical_form(g, m)
+(survivors that do not alternate pack to some other matrix) and, when
+recording, a trace word that does not replay to it all raise
+SelfCheckError.
 
-Passes.  The reduction is one generator, _passes, that yields the packed
-key top | bottom << g after each guarded pass: the first
-clear-bottom-columns, one loop pass (align, cancel and clear together) or
-one pack move.  It is Markov: what follows a state depends only on that
-state, since no loop pass leaves a (0,1) column and packing keeps the
-survivors' order.  Every pass lowers the key: the first
-clear-bottom-columns clears bottom bits, a loop pass zeroes its window and
-leaves the other columns alone, and a pack move shifts one column's bits
-to a column further left.  It is run two ways.  reduce_to_canonical (and
-class_index) run it to its end.  class_table runs one pass per key in
-increasing key order and takes the class of the lower key it lands on, so
-it steps every key but the canonical forms exactly once, every step under
-its guards, and raises SelfCheckError on a pass that does not lower the key.
+Passes.  _pass applies the one guarded pass that fits the current rows:
+clear-bottom-columns while a (0,1) column is left, else one loop pass
+(align, cancel and clear together), else one pack move; it returns None
+when none applies, and _end_class then checks the end state.  Every pass
+lowers the key: clear-bottom-columns clears bottom bits, a loop pass
+zeroes its window and leaves the other columns alone, and a pack move
+shifts one column's bits to a column further left.  reduce_to_canonical
+(and class_index) repeat passes until none applies.  class_table makes
+one pass per key, in increasing key order, and takes the class of the
+lower key it lands on; so it steps every key but the canonical forms
+exactly once, every step under its guards.
 
 Trace serialization (one step per line): ``<moveName> <word> -> <matrix>``.
 """
@@ -219,14 +218,15 @@ def _rightmost_equal_pair(
     return None
 
 
-def _passes(g: int, top: int, bottom: int, steps: list[ReductionStep] | None):
-    """The reduction of the rows (top, bottom) as a generator of guarded passes.
+def _pass(
+    g: int, top: int, bottom: int, steps: list[ReductionStep] | None
+) -> tuple[int, int] | None:
+    """Apply the one guarded pass that fits the rows; return the rows after it.
 
-    A pass is the first clear-bottom-columns, one loop pass (align, cancel
-    and clear together) or one pack move; the packed key is yielded after
-    each.  The generator returns the class index once the end state has
-    been compared with canonical_form(g, m).  Steps are appended to steps
-    unless it is None.
+    The pass is clear-bottom-columns if a (0,1) column is left, else one
+    loop pass on the rightmost equal pair, else drop-top-left or
+    drop-top-right, else the pack move of the first unpacked column.  None
+    means no pass applies.  Steps are appended to steps unless it is None.
     """
 
     def placed(lo: int, hi: int, t: int, b: int) -> tuple[int, int]:
@@ -247,48 +247,37 @@ def _passes(g: int, top: int, bottom: int, steps: list[ReductionStep] | None):
         if steps is not None:
             steps.append(ReductionStep(name, tuple(word), SpinMatrix(g, top, bottom)))
 
-    columns = _column_kinds(top, bottom)
-    bottoms = [2 * k for k, kind in columns if kind == _BOT]
-    if bottoms:
+    lone = bottom & ~top
+    if lone:
+        bottoms = [2 * k for k, _ in _column_kinds(0, lone)]
         emit("clear-bottom-columns", bottoms, (top, top & bottom))
-        yield top | bottom << g
-        columns = _column_kinds(top, bottom)
-
-    while True:
-        count = len(columns)
-        pair = _rightmost_equal_pair(columns)
-        if pair is not None:
-            s, i, kind = pair
-            if kind == _FULL:
-                if i > s + 1:
-                    emit(
-                        "align-full-pair",
-                        (*range(2 * s + 2, 2 * i, 2), *range(2 * i - 1, 2 * s + 2, -2)),
-                        placed(s, i, 0b11, (1 << i - s + 1) - 1),
-                    )
-                emit("cancel-full-pair", (2 * s + 1,), placed(s, s + 1, 0b00, 0b11))
-                emit("clear-bottom-columns", range(2 * s, 2 * i + 2, 2), placed(s, i, 0, 0))
-            else:
-                emit("cancel-top-pair", range(2 * i - 1, 2 * s, -2), placed(s, i, 0, 0))
-        elif columns and columns[0][1] == _TOP:
-            p = columns[0][0]
-            emit("drop-top-left", range(2 * p - 1, 0, -2), placed(1, p, 0, 0))
-        elif columns and columns[-1][1] == _TOP:
-            p = columns[-1][0]
-            emit("drop-top-right", range(2 * p + 1, 2 * g + 2, 2), placed(p, g, 0, 0))
+        return top, bottom
+    columns = _column_kinds(top, bottom)
+    if (pair := _rightmost_equal_pair(columns)) is not None:
+        s, i, kind = pair
+        if kind == _FULL:
+            if i > s + 1:
+                emit(
+                    "align-full-pair",
+                    (*range(2 * s + 2, 2 * i, 2), *range(2 * i - 1, 2 * s + 2, -2)),
+                    placed(s, i, 0b11, (1 << i - s + 1) - 1),
+                )
+            emit("cancel-full-pair", (2 * s + 1,), placed(s, s + 1, 0b00, 0b11))
+            emit("clear-bottom-columns", range(2 * s, 2 * i + 2, 2), placed(s, i, 0, 0))
         else:
-            break
-        columns = _column_kinds(top, bottom)
-        remaining = len(columns)
-        if remaining >= count:
-            raise SelfCheckError(
-                f"no progress: {count} -> {remaining} nonzero columns"
-            )
-        yield top | bottom << g
-
-    for t, (s, kind) in enumerate(columns, start=1):
-        if s == t:
-            continue
+            emit("cancel-top-pair", range(2 * i - 1, 2 * s, -2), placed(s, i, 0, 0))
+    elif columns and columns[0][1] == _TOP:
+        p = columns[0][0]
+        emit("drop-top-left", range(2 * p - 1, 0, -2), placed(1, p, 0, 0))
+    elif columns and columns[-1][1] == _TOP:
+        p = columns[-1][0]
+        emit("drop-top-right", range(2 * p + 1, 2 * g + 2, 2), placed(p, g, 0, 0))
+    else:
+        for t, (s, kind) in enumerate(columns, start=1):
+            if s != t:
+                break
+        else:
+            return None
         if kind == _FULL:
             emit(
                 "pack-full-column",
@@ -298,9 +287,20 @@ def _passes(g: int, top: int, bottom: int, steps: list[ReductionStep] | None):
             )
         else:
             emit("pack-top-column", range(2 * s - 1, 2 * t, -2), placed(t, s, 1, 0))
-        yield top | bottom << g
+    return top, bottom
 
-    m = (len(columns) + 1) // 2
+
+def _lower_key(g: int, key: int, rows: tuple[int, int]) -> int:
+    """The packed key of the rows a pass from key reached; it must be lower."""
+    lower = rows[0] | rows[1] << g
+    if lower >= key:
+        raise SelfCheckError(f"a pass from key {key} reached key {lower}, not a lower one")
+    return lower
+
+
+def _end_class(g: int, top: int, bottom: int) -> int:
+    """The class index m of rows no pass applies to; they must be canonical_form(g, m)."""
+    m = (top.bit_count() + 1) // 2
     final = SpinMatrix(g, top, bottom)
     if final != canonical_form(g, m):
         raise SelfCheckError(f"landed on {final}, not the class-{m} form")
@@ -324,13 +324,11 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
     if g < 3:
         raise ValueError(f"reduction needs genus >= 3, got {g}")
     steps: list[ReductionStep] | None = [] if record else None
-    passes = _passes(g, matrix.top, matrix.bottom, steps)
-    while True:
-        try:
-            next(passes)
-        except StopIteration as stop:
-            m = stop.value
-            break
+    top, bottom, key = matrix.top, matrix.bottom, matrix.key()
+    while (rows := _pass(g, top, bottom, steps)) is not None:
+        key = _lower_key(g, key, rows)
+        top, bottom = rows
+    m = _end_class(g, top, bottom)
     if not record:
         return ReductionTrace(matrix, (), m)
     if apply_word(matrix, tuple(i for step in steps for i in step.word)) != canonical_form(g, m):
@@ -341,27 +339,24 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
 def class_table(g: int) -> bytearray:
     """The class index of every packed key 0..4^g-1, one byte each.
 
-    Every pass lowers the packed key, so in increasing key order the first
-    pass from a key lands on a key already in the table, whose class is
-    this key's since the passes are Markov (see the module docstring).  A
-    key no pass applies to gets the class _passes returns after its
-    end-state check.  A pass that does not lower the key raises
-    SelfCheckError.
+    Each key takes one pass, in increasing key order.  The pass lands on a
+    lower key, already in the table, and _pass reads nothing but the rows,
+    so the reduction from this key goes on as the one from that key and
+    this key gets that key's class.  A key no pass applies to gets its
+    class from the end-state check.  A pass that does not lower the key
+    raises SelfCheckError.
     """
     if g < 3:
         raise ValueError(f"reduction needs genus >= 3, got {g}")
     table = bytearray(1 << 2 * g)
     mask = (1 << g) - 1
     for key in range(len(table)):
-        passes = _passes(g, key & mask, key >> g, None)
-        try:
-            state = next(passes)
-        except StopIteration as stop:
-            table[key] = stop.value
-            continue
-        if state >= key:
-            raise SelfCheckError(f"a pass from key {key} reached key {state}, not a lower one")
-        table[key] = table[state]
+        top, bottom = key & mask, key >> g
+        rows = _pass(g, top, bottom, None)
+        if rows is None:
+            table[key] = _end_class(g, top, bottom)
+        else:
+            table[key] = table[_lower_key(g, key, rows)]
     return table
 
 

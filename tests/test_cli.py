@@ -383,7 +383,13 @@ def test_verify_reports_reducer_guard_failures_as_rows(capsys, monkeypatch):
 def test_verify_rejects_malformed_range(capsys):
     assert run(capsys, "verify", "8..3")[0] == EXIT_USAGE
     assert run(capsys, "verify", "abc")[0] == EXIT_USAGE
-    assert run(capsys, "verify", "3", "--max-g=--")[0] == EXIT_USAGE  # argparse gives []
+    # argparse leaves both as an empty list; the error names the argument
+    assert run(capsys, "verify", "3", "--max-g=--") == (
+        EXIT_USAGE, "", "error: argument --max-g is missing its value\n",
+    )
+    assert run(capsys, "isotropy", "3", "--", "--") == (
+        EXIT_USAGE, "", "error: argument m is missing its value\n",
+    )
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -358,22 +358,16 @@ def test_class_table_steps_each_key_at_most_once(monkeypatch):
     # exactly once, in fact, for every key but the canonical forms
     g = 6
     expected = bytes(class_index(m) for m in every_matrix(g))
-    passes = normalform._passes
+    one_pass = normalform._pass
     stepped = []
 
     def counted(g, top, bottom, steps):
-        source = top | bottom << g
-        walk = passes(g, top, bottom, steps)
-        while True:
-            try:
-                key = next(walk)
-            except StopIteration as stop:
-                return stop.value
-            stepped.append(source)
-            source = key
-            yield key
+        rows = one_pass(g, top, bottom, steps)
+        if rows is not None:
+            stepped.append(top | bottom << g)
+        return rows
 
-    monkeypatch.setattr(normalform, "_passes", counted)
+    monkeypatch.setattr(normalform, "_pass", counted)
     assert normalform.class_table(g) == expected
     canonical = {canonical_form(g, m).key() for m in range((g + 1) // 2 + 1)}
     assert sorted(stepped) == [key for key in range(1 << (2 * g)) if key not in canonical]
@@ -384,13 +378,10 @@ def test_every_pass_lowers_the_packed_key(g):
     mask = (1 << g) - 1
     unstepped = set()
     for key in range(1 << (2 * g)):
-        passes = normalform._passes(g, key & mask, key >> g, None)
-        before = key
-        while True:
-            try:
-                after = next(passes)
-            except StopIteration:
-                break
+        top, bottom, before = key & mask, key >> g, key
+        while (rows := normalform._pass(g, top, bottom, None)) is not None:
+            top, bottom = rows
+            after = top | bottom << g
             assert after < before, f"g={g}: a pass from key {before} reached {after}"
             before = after
         if before == key:
@@ -398,21 +389,34 @@ def test_every_pass_lowers_the_packed_key(g):
     assert unstepped == {canonical_form(g, m).key() for m in range((g + 1) // 2 + 1)}
 
 
-def test_class_table_raises_on_a_pass_that_does_not_lower_the_key(monkeypatch):
-    passes = normalform._passes
+def _rising_pass(monkeypatch):
+    """Make the first pass that applies land on the all-ones rows, the top key.
+
+    Only the first, so that a caller without the descent guard ends.
+    """
+    one_pass = normalform._pass
+    rose = []
 
     def rising(g, top, bottom, steps):
-        walk = passes(g, top, bottom, steps)
-        while True:
-            try:
-                next(walk)
-            except StopIteration as stop:
-                return stop.value
-            yield (1 << 2 * g) - 1
+        rows = one_pass(g, top, bottom, steps)
+        if rows is None or rose:
+            return rows
+        rose.append(rows)
+        return (1 << g) - 1, (1 << g) - 1
 
-    monkeypatch.setattr(normalform, "_passes", rising)
+    monkeypatch.setattr(normalform, "_pass", rising)
+
+
+def test_class_table_raises_on_a_pass_that_does_not_lower_the_key(monkeypatch):
+    _rising_pass(monkeypatch)
     with pytest.raises(SelfCheckError, match="not a lower one"):
         normalform.class_table(4)
+
+
+def test_reduce_raises_on_a_pass_that_does_not_lower_the_key(monkeypatch):
+    _rising_pass(monkeypatch)
+    with pytest.raises(SelfCheckError, match="not a lower one"):
+        reduce_to_canonical(SpinMatrix.from_text("11111/10111"))
 
 
 def test_class_table_raises_on_a_faulty_action(monkeypatch):
