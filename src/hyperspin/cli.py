@@ -13,8 +13,8 @@ verify [RANGE]             run the verification suite (default 3..8)
 ``--max-g`` (enumeration ceiling; values above 12 act as 12) and
 ``--strict`` (treat resource skips as failures).
 
-``verify`` prints one row per check and genus, from the table
-``_GENUS_CHECKS``, then one golden-traces row:
+``verify`` prints one row per check and genus, in this order, then one
+golden-traces row:
 
 orbit-count, orbit-sizes, arf-census  read the partition
 class-agreement                       g >= 3, reads the partition and a class
@@ -35,14 +35,16 @@ golden-traces row included, is a FAIL row.
 above MAX_SYMBOLIC_GENUS (1000) with exit 2 before computing anything;
 ``orbits`` refuses one above the enumeration ceiling (12) the same way.
 
-Exit codes: 0 all passed, 1 check failure, 2 usage or parse error,
-3 a resource skip occurred under --strict.
+Exit codes: 0 all passed, 1 check failure or stdout closed before the
+output was written, 2 usage or parse error, 3 a resource skip occurred
+under --strict.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -342,7 +344,7 @@ def _check_fixed_point(g: int, within_cap: bool) -> tuple[str, str] | None:
     return _verdict(ok, f"{expected} (fixing only)")
 
 
-def _check_normal_forms(g: int, _within_cap: bool) -> tuple[str, str]:
+def _check_normal_forms(g: int) -> tuple[str, str]:
     bad = [m for m in range((g + 1) // 2 + 1) if class_index(stabilizer_form(g, m)) != m]
     return _verdict(not bad, "all classes", f"wrong class at m={bad}")
 
@@ -357,14 +359,19 @@ def _check_isotropy(g: int, partition) -> tuple[str, str]:
     return _verdict(not failures, detail, "; ".join(failures))
 
 
-def _check_relations(g: int, _within_cap: bool) -> tuple[str, str]:
+def _check_relations(g: int) -> tuple[str, str]:
     """Generator involutions, commutation, braid relation, Arf invariance,
     quadratic refinement; exhaustive for g <= 3, sampled above."""
     rng = random.Random(0xC0FFEE + g)
     n = 1 << (2 * g)
-    exhaustive = g <= 3
     generators = range(1, 2 * g + 2)
-    keys = range(n) if exhaustive else [rng.randrange(n) for _ in range(256)]
+    if g <= 3:
+        keys, samples = range(n), n
+        pairs = [(i, j) for i in generators for j in generators]
+    else:
+        keys, samples = [rng.randrange(n) for _ in range(256)], 512
+        pairs = [rng.sample(generators, 2) for _ in range(64)]
+    pairs = [(i, j) for i, j in pairs if abs(i - j) >= 2]
     matrices = [SpinMatrix.from_key(g, key) for key in keys]
     checked = 0
     for matrix in matrices:
@@ -375,14 +382,8 @@ def _check_relations(g: int, _within_cap: bool) -> tuple[str, str]:
             if arf(once) != arf(matrix):
                 return "FAIL", f"generator {i} changes Arf"
             checked += 1
-    if exhaustive:
-        pairs = [(i, j) for i in generators for j in generators if abs(i - j) >= 2]
-    else:
-        pairs = [sorted(rng.sample(generators, 2)) for _ in range(64)]
-    for matrix in matrices if exhaustive else matrices[:64]:
+    for matrix in matrices[:64]:  # all of them when g <= 3
         for i, j in pairs:
-            if abs(i - j) < 2:
-                continue
             if apply_word(matrix, (i, j)) != apply_word(matrix, (j, i)):
                 return "FAIL", f"{i},{j} do not commute"
             checked += 1
@@ -390,7 +391,6 @@ def _check_relations(g: int, _within_cap: bool) -> tuple[str, str]:
             if apply_word(matrix, (i, i + 1, i)) != apply_word(matrix, (i + 1, i, i + 1)):
                 return "FAIL", f"braid relation fails at {i}"
             checked += 1
-    samples = 512 if not exhaustive else n
     for _ in range(samples):
         mk, xk, yk = (rng.randrange(n) for _ in range(3))
         matrix = SpinMatrix.from_key(g, mk)
@@ -415,54 +415,38 @@ def _check_sp_crosscheck(g: int, partition) -> tuple[str, str]:
     return "PASS", " ".join(str(v) for v in sorted(sp.sizes().values(), reverse=True))
 
 
-# The per-genus checks of verify, in row order: row name, least and greatest
-# genus (None: no bound), what the check takes besides g, and the check,
-# (g, taken) -> (status, detail), or None for no row.  It takes
-#   "needs"  the partition, and is skipped past the enumeration cap;
-#   "uses"   the partition, or None past the cap;
-#   "cap"    whether g is within the cap (it reads no partition).
-# If the enumeration's self-check fails, "needs" and "uses" rows print its FAIL.
-_GENUS_CHECKS = (
-    ("orbit-count", 1, None, "needs", _check_orbit_count),
-    ("orbit-sizes", 1, None, "needs", _check_orbit_sizes),
-    ("arf-census", 1, None, "needs", _check_arf_census),
-    ("class-agreement", 3, None, "needs", _check_class_agreement),
-    ("fixed-point", 1, None, "cap", _check_fixed_point),
-    ("normal-forms", 3, None, "cap", _check_normal_forms),
-    ("isotropy", 3, None, "uses", _check_isotropy),
-    ("relations", 1, None, "cap", _check_relations),
-    ("sp-crosscheck", 1, MAX_SP_GENUS, "needs", _check_sp_crosscheck),
-)
-
-
-def _verify_genus(g: int, max_g: int) -> list[dict]:
-    """One row per check of _GENUS_CHECKS whose genus range holds g.
-
-    The partition is enumerated once, up to the cap.
-    """
-    cap = min(max_g, MAX_ENUMERATION_GENUS)
-    within_cap = g <= cap
+def _verify_genus(g: int, cap: int) -> list[dict]:
+    """verify's rows for genus g, in order; the partition is enumerated
+    once, if g is within the cap."""
     partition, failure = None, None
-    if within_cap:
+    if g <= cap:
         try:
             partition = enumerate_orbits(g)
         except SelfCheckError as exc:
             failure = ("FAIL", str(exc))
-    rows = []
-    for name, least, greatest, takes, check in _GENUS_CHECKS:
-        if g < least or (greatest is not None and g > greatest):
-            continue
-        if takes == "cap":
-            result = _run_check(check, g, within_cap)
-        elif failure is not None:
-            result = failure
-        elif takes == "needs" and not within_cap:
-            result = ("SKIP", f"enumeration capped at {cap}")
-        else:
-            result = _run_check(check, g, partition)
-        if result is not None:
-            rows.append(_row(g, name, *result))
-    return rows
+
+    def reads_partition(check) -> tuple[str, str]:
+        if failure is not None:
+            return failure
+        if partition is None:
+            return "SKIP", f"enumeration capped at {cap}"
+        return _run_check(check, g, partition)
+
+    results = [
+        ("orbit-count", reads_partition(_check_orbit_count)),
+        ("orbit-sizes", reads_partition(_check_orbit_sizes)),
+        ("arf-census", reads_partition(_check_arf_census)),
+    ]
+    if g >= 3:
+        results.append(("class-agreement", reads_partition(_check_class_agreement)))
+    results.append(("fixed-point", _run_check(_check_fixed_point, g, g <= cap)))
+    if g >= 3:
+        results.append(("normal-forms", _run_check(_check_normal_forms, g)))
+        results.append(("isotropy", failure or _run_check(_check_isotropy, g, partition)))
+    results.append(("relations", _run_check(_check_relations, g)))
+    if g <= MAX_SP_GENUS:
+        results.append(("sp-crosscheck", reads_partition(_check_sp_crosscheck)))
+    return [_row(g, name, *result) for name, result in results if result is not None]
 
 
 def _check_golden_traces() -> tuple[str, str]:
@@ -483,14 +467,12 @@ def _check_golden_traces() -> tuple[str, str]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.range)
-    max_g = args.max_g
-    if max_g < 1:
+    if args.max_g < 1:
         raise UsageError("--max-g must be an integer >= 1")
+    cap = min(args.max_g, MAX_ENUMERATION_GENUS)
     started = time.perf_counter()
 
-    rows = [
-        row for g in range(lo, hi + 1) for row in _verify_genus(g, max_g)
-    ]
+    rows = [row for g in range(lo, hi + 1) for row in _verify_genus(g, cap)]
     rows.append(_row(None, "golden-traces", *_run_check(_check_golden_traces)))
 
     failed = any(row["status"] == "FAIL" for row in rows)
@@ -582,6 +564,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (SelfCheckError, ValueError) as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except BrokenPipeError:
+        # stdout closed before the output was written; point it at devnull
+        # so that the interpreter's final flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_CHECK_FAILED
     finally:
         sys.set_int_max_str_digits(digit_limit)

@@ -328,12 +328,10 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
     while (rows := _pass(g, top, bottom, steps)) is not None:
         key = _lower_key(g, key, rows)
         top, bottom = rows
-    m = _end_class(g, top, bottom)
-    if not record:
-        return ReductionTrace(matrix, (), m)
-    if apply_word(matrix, tuple(i for step in steps for i in step.word)) != canonical_form(g, m):
+    trace = ReductionTrace(matrix, tuple(steps or ()), _end_class(g, top, bottom))
+    if record and apply_word(matrix, trace.total_word) != trace.result:
         raise SelfCheckError("trace word does not replay to the final matrix")
-    return ReductionTrace(matrix, tuple(steps), m)
+    return trace
 
 
 def class_table(g: int) -> bytearray:

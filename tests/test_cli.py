@@ -6,8 +6,11 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,6 +308,13 @@ def test_verify_sp_crosscheck_fails_when_genus_two_partitions_differ(capsys, mon
         (["verify", "9"], "48b7b0044c2e71ec219b5dcaffd4571347c9caec637e9df9ddfe50ed5f546c43"),
         # the default range 3..8, every class-agreement row included
         (["verify"], "a0576f254a89f336c9124cade8abcfb67dbb33e912353f4138e83cd521507550"),
+        # an even genus inside the enumeration cap and above the reduction cap
+        (["verify", "10"], "a4c398f34024fde9deebcac66a03a2b47f19b0345b974ad14a02ffea31d1d94b"),
+        # the default cap's notice, and g = 14, which has no fixed-point row
+        (
+            ["verify", "13..14"],
+            "3cef3359c5620c32229fec2537de4c251cc7efcc194eedd441d2d65fecbd2655",
+        ),
     ],
 )
 def test_verify_rows_are_pinned(capsys, argv, digest):
@@ -312,6 +322,20 @@ def test_verify_rows_are_pinned(capsys, argv, digest):
     assert code == EXIT_OK
     lines = [line for line in out.splitlines() if not line.startswith("# elapsed")]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+def test_verify_json_rows_match_the_text_rows(capsys):
+    # the --json rows, written out as the TSV table, hash to the pinned text digest
+    code, out, _ = run(capsys, "verify", "1..14", "--max-g", "4", "--json")
+    assert code == EXIT_OK
+    rows = json.loads(out)["rows"]
+    header = ["g", "check", "status", "detail"]  # the JSON keys are sorted
+    lines = ["\t".join(header)] + [
+        "\t".join("-" if row[key] is None else str(row[key]) for key in header)
+        for row in rows
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "b6d5f994e81dd1da1d0ef29d103d18ef431625ca112c4971cd0cd436820b149f"
 
 
 def test_verify_self_check_failure_is_a_fail_row(capsys, monkeypatch):
@@ -433,6 +457,25 @@ def test_any_argv_exits_with_a_documented_code(command, tokens, flags):
     assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_SKIP_STRICT)
     assert "Traceback" not in err.getvalue()
 
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--json"])
+def test_stdout_closed_early_exits_one_without_a_traceback(flag):
+    # the output runs far past a pipe's buffer, so the writes after the close fail
+    row = "1" * 400
+    src = Path(__file__).resolve().parents[1] / "src"
+    with subprocess.Popen(
+        [sys.executable, "-m", "hyperspin.cli", "reduce", "400", f"{row}/{row}", flag],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code == EXIT_CHECK_FAILED
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -419,6 +419,15 @@ def test_reduce_raises_on_a_pass_that_does_not_lower_the_key(monkeypatch):
         reduce_to_canonical(SpinMatrix.from_text("11111/10111"))
 
 
+def test_reduce_raises_when_the_trace_word_does_not_replay(monkeypatch):
+    # a replay that does nothing leaves the input, not the canonical form
+    monkeypatch.setattr(normalform, "apply_word", lambda matrix, word: matrix)
+    matrix = SpinMatrix.from_text("11111/10111")
+    with pytest.raises(SelfCheckError, match="^trace word does not replay"):
+        reduce_to_canonical(matrix)
+    assert reduce_to_canonical(matrix, record=False).class_index == 2
+
+
 def test_class_table_raises_on_a_faulty_action(monkeypatch):
     # every letter but s_1 acts as the identity, so some guarded pass must fail
     act = normalform._act_letter
