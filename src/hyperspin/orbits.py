@@ -188,6 +188,7 @@ def _closure_partition(g: int, classes) -> tuple[np.ndarray, dict[int, int]]:
     while True:
         seed += int(np.argmin(ordinals[seed:]))
         if ordinals[seed]:
+            ordinals.setflags(write=False)  # a returned partition is immutable
             return ordinals, sizes
         ordinal = len(sizes) + 1
         if ordinal > 255:  # the largest uint8 ordinal

@@ -18,6 +18,9 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyperspin import (
+    SpinMatrix,
+    braid,
+    canonical_form,
     cli,
     normalform,
     predicted_stabilizer_order,
@@ -402,6 +405,99 @@ def test_verify_reports_reducer_guard_failures_as_rows(capsys, monkeypatch):
             assert detail.startswith("landed on ") and "not the class-" in detail
         else:
             assert status == "PASS"
+
+
+def _row_of(out, g, check):
+    """The one stdout line of verify's row for check at genus g."""
+    prefix = f"{'-' if g is None else g}\t{check}\t"
+    (line,) = [line for line in out.splitlines() if line.startswith(prefix)]
+    return line
+
+
+@pytest.mark.parametrize(
+    "name, patch, detail",
+    [
+        (
+            "apply_generator",
+            lambda m, i: SpinMatrix(m.g, (m.top + 1) % (1 << m.g), m.bottom),
+            "generator 1 not an involution",
+        ),
+        (
+            "apply_generator",
+            lambda m, i: SpinMatrix(m.g, m.top ^ 1, m.bottom),
+            "generator 1 changes Arf",
+        ),
+        ("apply_word", lambda m, word: braid.apply_word(m, word[:1]), "1,3 do not commute"),
+        (
+            "apply_word",
+            lambda m, word: braid.apply_word(m, sorted(word)),
+            "braid relation fails at 1",
+        ),
+        ("intersection", lambda x, y: 0, "quadratic refinement violated"),
+    ],
+)
+def test_verify_relations_names_the_first_broken_relation(
+    capsys, monkeypatch, name, patch, detail
+):
+    monkeypatch.setattr(cli, name, patch)
+    code, out, _ = run(capsys, "verify", "3")
+    assert code == EXIT_CHECK_FAILED
+    assert _row_of(out, 3, "relations") == f"3\trelations\tFAIL\t{detail}"
+
+
+def test_verify_golden_traces_names_the_first_mismatch(capsys, monkeypatch):
+    # a reduction that starts from the wrong matrix has the wrong word
+    monkeypatch.setattr(
+        cli,
+        "reduce_to_canonical",
+        lambda m: normalform.reduce_to_canonical(canonical_form(m.g, 0)),
+    )
+    code, out, _ = run(capsys, "verify", "3")
+    assert code == EXIT_CHECK_FAILED
+    assert _row_of(out, None, "golden-traces") == (
+        "-\tgolden-traces\tFAIL\tword differs for 11111/10111"
+    )
+    # a replay that never moves misses the first intermediate matrix
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "apply_word", lambda m, word: m)
+    code, out, _ = run(capsys, "verify", "3")
+    assert code == EXIT_CHECK_FAILED
+    assert _row_of(out, None, "golden-traces") == (
+        "-\tgolden-traces\tFAIL\tintermediate 11100/10111 missing"
+    )
+
+
+def test_verify_fixed_point_fails_on_a_wrong_matrix(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "fixed_point_matrix", lambda g: canonical_form(g, 0))
+    # within the cap the scan finds 111/101, not the zero matrix
+    code, out, _ = run(capsys, "verify", "3")
+    assert code == EXIT_CHECK_FAILED
+    assert _row_of(out, 3, "fixed-point") == "3\tfixed-point\tFAIL\t000/000"
+    # past it the generators move the zero matrix
+    zero = "0" * 13
+    code, out, _ = run(capsys, "verify", "13")
+    assert code == EXIT_CHECK_FAILED
+    assert _row_of(out, 13, "fixed-point") == (
+        f"13\tfixed-point\tFAIL\t{zero}/{zero} (fixing only)"
+    )
+
+
+def test_docstring_row_table_lists_the_rows_verify_prints(capsys):
+    # the verify table in the module docstring: one line per row group,
+    # a check name (or several, comma-separated) in its first column
+    doc = cli.__doc__
+    table = doc[doc.index("golden-traces row:\n\n") :].split("\n\n")[1]
+    names = [
+        name
+        for line in table.splitlines()
+        if not line.startswith(" ")
+        for name in line.split("  ")[0].split(", ")
+    ]
+    code, out, _ = run(capsys, "verify", "3")
+    assert code == EXIT_OK
+    printed = [line.split("\t")[1] for line in out.splitlines()[1:-2]]
+    assert out.splitlines()[-2].split("\t")[1] == "golden-traces"
+    assert names == printed
 
 
 def test_verify_rejects_malformed_range(capsys):

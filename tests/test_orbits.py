@@ -181,6 +181,14 @@ def test_sizes_returns_a_copy(partitions):
     assert len(part.sizes()) == 3
 
 
+@pytest.mark.parametrize("partition_of", [enumerate_orbits, sp_transvection_orbits])
+def test_ordinals_are_read_only(partition_of):
+    part = partition_of(3)
+    with pytest.raises(ValueError):
+        part.ordinals[0] = 2
+    assert part.orbit_of(SpinMatrix(3, 0, 0)) == 0
+
+
 def test_partition_equality_is_identity(partitions):
     part = partitions[3]
     assert part == part
