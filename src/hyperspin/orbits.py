@@ -1,8 +1,10 @@
 """Exhaustive orbit enumeration over all 2^(2g) spin matrices.
 
 States are packed keys (top word in the low g bits, bottom word above).
-Each generator orbit is a bitset of all keys closed under the 2g+1 twists,
-up to the enumeration ceiling g = 12 (2^24 states).  The transvection
+Each generator orbit is closed under the 2g+1 twists, up to the
+enumeration ceiling g = 12 (2^24 states): it grows from its seed as key
+arrays while it holds fewer than 2^(2g-10) keys, and a larger one moves
+into a bitset of all keys and is swept to closure there.  The transvection
 orbits are closed the same way, under the twists about the 2g+1 Humphries
 curves: these generate the mapping class group (Humphries 1979; Farb and
 Margalit, A Primer on Mapping Class Groups, Sec. 4.4), which maps onto
@@ -19,8 +21,10 @@ used for them.
 
 Memory: a partition is a uint8 map of orbit ordinals, 16 MB at g = 12;
 4-byte minimum-key labels are derived only when asked for.  The closure
-adds a 2 MB bitset and temporaries no larger, and the passes over all keys
-walk them in blocks of 2^20 keys, so `verify 9..12` peaks at about 60 MB.
+adds a 2 MB bitset and temporaries no larger: the key arrays of the sparse
+start peak below 1 MB, since a level runs only while the orbit holds fewer
+than 2^(2g-10) keys.  The passes over all keys walk them in blocks of 2^20
+keys, so `verify 9..12` peaks at about 60 MB.
 """
 
 from __future__ import annotations
@@ -48,17 +52,20 @@ def _check_enumeration_genus(g: int) -> None:
         )
 
 
-def twist_keys(g: int, gamma_key: int, keys: np.ndarray) -> np.ndarray:
+def twist_keys(g: int, gamma_key: int | np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Vectorized twist transvection about the class packed in gamma_key.
 
     c(gamma) is parity(key & gamma_key) + parity(a_gamma & b_gamma); where
     it is 0 the twist adds gamma's beta-word to the top row and its
-    alpha-word to the bottom row (see gf2.dehn_twist).
+    alpha-word to the bottom row (see gf2.dehn_twist).  gamma_key may be a
+    uint32 array of classes, which broadcasts against keys: keys[:, None]
+    gives one column of images per class.
     """
-    ga, gb = gamma_key & ((1 << g) - 1), gamma_key >> g
-    flip = np.bitwise_count(keys & np.uint32(gamma_key)) & 1
-    flip ^= ((ga & gb).bit_count() & 1) ^ 1
-    return keys ^ flip * np.uint32(gb | ga << g)
+    gamma = np.asarray(gamma_key, dtype=np.uint32)
+    ga, gb = gamma & np.uint32((1 << g) - 1), gamma >> np.uint32(g)
+    flip = np.bitwise_count(keys & gamma) & 1
+    flip ^= (np.bitwise_count(ga & gb) & 1) ^ 1
+    return keys ^ flip * (gb | ga << np.uint32(g))
 
 
 def _generator_keys(g: int) -> list[int]:
@@ -169,16 +176,27 @@ def _closure_partition(g: int, classes) -> tuple[np.ndarray, dict[int, int]]:
 
     ordinals[key] = k puts key in the k-th orbit found and 0 marks it
     unseen; sizes maps each orbit's seed to its size, so its k-th key is the
-    seed of ordinal k.  Each orbit is a _bitset S seeded with the least key
-    the map still marks unseen, its minimum key.  Sweeps S |= tau(S & F),
-    F the keys a twist tau moves, run through the classes and back until
-    one leaves the popcount of S unchanged.  Each |= of that sweep added
-    nothing, so tau(S & F) lies in S for every class: S is closed, and,
-    grown from the seed by twists, it is the seed's orbit.  Its ordinal
-    goes into the map in key blocks.
+    seed of ordinal k.  Each orbit is seeded with the least key the map
+    still marks unseen, its minimum key, and grown from it in two phases.
+
+    Sparse start: while the orbit holds fewer than n >> 10 keys, one level
+    twists the last level's keys about every class in one twist_keys call
+    and keeps the unseen images, once each, writing their ordinal.  A level
+    that keeps no key means every twist of every key found was already
+    found: the keys found are closed, and, grown from the seed by twists,
+    they are the seed's orbit, already in the map.  At g <= 5, n >> 10 <= 1,
+    so no level runs.
+
+    Bitset sweeps: an orbit that reaches n >> 10 keys goes into a _bitset S.
+    Sweeps S |= tau(S & F), F the keys a twist tau moves, run through the
+    classes and back until one leaves the popcount of S unchanged.  Each |=
+    of that sweep added nothing, so tau(S & F) lies in S for every class: S
+    is closed, and it is the seed's orbit.  Its ordinal is OR-ed into the
+    map in key blocks; the keys the sparse start wrote already hold it.
     """
     sweep = [_twist_plan(g, gamma_key) for gamma_key in classes]
     sweep += sweep[-2:0:-1]  # s_1..s_n..s_2: no twist twice in a row
+    gammas = np.array(classes, dtype=np.uint32)
     n = 1 << (2 * g)
     ordinals = np.zeros(n, dtype=np.uint8)
     bits = _bitset(g)
@@ -193,9 +211,26 @@ def _closure_partition(g: int, classes) -> tuple[np.ndarray, dict[int, int]]:
         ordinal = len(sizes) + 1
         if ordinal > 255:  # the largest uint8 ordinal
             raise SelfCheckError("more than 255 orbits")
+        ordinals[seed] = ordinal
+        found = [np.array([seed], dtype=np.uint32)]
+        size = 1
+        while found[-1].size and size < n >> 10:
+            images = twist_keys(g, gammas, found[-1][:, None]).ravel()
+            fresh = images[ordinals[images] == 0]
+            fresh.sort()
+            first = np.ones(fresh.size, dtype=bool)  # drop repeats
+            np.not_equal(fresh[1:], fresh[:-1], out=first[1:])
+            fresh = fresh[first]
+            ordinals[fresh] = ordinal
+            size += fresh.size
+            found.append(fresh)
+        if not found[-1].size:
+            sizes[seed] = size  # closed while sparse; its ordinals are written
+            continue
+        keys = np.concatenate(found)
         words[:] = 0
-        words[seed >> 6] = np.uint64(1 << (seed & 63))
-        size, last = 1, 0
+        np.bitwise_or.at(words, keys >> np.uint32(6), np.uint64(1) << (keys & np.uint32(63)))
+        last = 0
         while size != last:
             last = size
             _sweep(bits, sweep)
@@ -206,7 +241,7 @@ def _closure_partition(g: int, classes) -> tuple[np.ndarray, dict[int, int]]:
                 members = np.unpackbits(
                     block.view(np.uint8), count=min(n, _KEY_BLOCK), bitorder="little"
                 )
-                members *= np.uint8(ordinal)  # the orbit's keys are unseen: 0 | ordinal
+                members *= np.uint8(ordinal)  # its keys hold 0, or ordinal if found sparse
                 ordinals[start : start + _KEY_BLOCK] |= members
                 del members  # so that one block's is alive at a time
         sizes[seed] = size
@@ -216,7 +251,7 @@ def _closure_partition(g: int, classes) -> tuple[np.ndarray, dict[int, int]]:
 class OrbitPartition:
     """Partition of all packed keys into orbits.
 
-    Both are bitset closures: enumerate_orbits under the 2g+1 generators,
+    Both are closures: enumerate_orbits under the 2g+1 generators,
     sp_transvection_orbits under the 2g+1 Humphries twists, whose orbits
     are those of every transvection.  The orbit sizes are the closure's own
     counts, shared by sizes() and orbit_ids.  Equality is identity.

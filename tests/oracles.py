@@ -1,8 +1,12 @@
 """A breadth-first orbit partition over key arrays, the tests' oracle.
 
-It shares no code with the bitset closure behind enumerate_orbits and
-sp_transvection_orbits: it steps key arrays through twist_keys, which takes
-any class, where the closure compiles each class into a _twist_plan.
+It shares no code with the bitset sweeps of the closure behind
+enumerate_orbits and sp_transvection_orbits, which compile each class into
+a _twist_plan.  It does share twist_keys with the closure's sparse start,
+which grows each small orbit through it; this oracle calls it one class at
+a time, the sparse start for all classes at once.  So its independence
+rests on twist_keys, which tests/test_orbits.py checks against
+gf2.dehn_twist, the scalar reference.
 """
 
 import numpy as np

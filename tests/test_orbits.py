@@ -87,6 +87,23 @@ def test_vectorized_twist_matches_scalar():
                 assert int(images[key]) == expected
 
 
+def test_twist_keys_over_an_array_of_classes():
+    # column j of the broadcast call is the scalar call about classes[j]
+    cases = [
+        (g, list(range(1 << (2 * g))), np.arange(1 << (2 * g), dtype=np.uint32))
+        for g in (2, 3)
+    ]
+    g = 12  # keys reach bit 23, so the high uint32 bits are exercised
+    keys = np.random.default_rng(12).integers(0, 1 << (2 * g), 2000, dtype=np.uint32)
+    cases.append((g, _generator_keys(g) + _humphries_keys(g), keys))
+    for g, classes, keys in cases:
+        images = twist_keys(g, np.array(classes, dtype=np.uint32), keys[:, None])
+        assert images.dtype == np.uint32
+        assert images.shape == (keys.size, len(classes))
+        for j, gamma_key in enumerate(classes):
+            assert np.array_equal(images[:, j], twist_keys(g, gamma_key, keys)), (g, j)
+
+
 def test_vectorized_arf_matches_scalar():
     g = 3
     keys = np.arange(1 << (2 * g), dtype=np.uint32)
@@ -146,6 +163,7 @@ GENERATOR_LABEL_DIGESTS = {
     8: "a7dfc89b4d09345403931257f722a43755c6e27e433ecc481e34e96e604f7cc6",
     9: "4d0e0ac43f6b6699387f6866494eadc4af2093e9eba0e4581550f6abce2e4ceb",
     10: "7701da129e261b71928e9f8294266045f3f2ddc18991241fbc1dd16b52b7d934",
+    11: "9c11564766ac34b8e8db2203f08b86fe73ad8312e7e185f86bb60b665980662d",
 }
 TRANSVECTION_LABEL_DIGESTS = {
     1: "67ceb487f055eac566c44be1ef8170350ebbc1881fdbfba6c7a75a221229349b",
@@ -153,6 +171,7 @@ TRANSVECTION_LABEL_DIGESTS = {
     3: "4a893a6e9c6ae5efe82e6faa9ade169e40767fd30bea34287fdb675b0afd543c",
     4: "ec08bf7a3ff540c1ecfd5ff11072ea10a655a0d06309e6ac827dacbb25c0b660",
     5: "6fbbdd3b8fb782af7798ea6d7f1c4cd35aa74c0a351527ab6eaf3fd3125fddd1",
+    6: "c78708db8216b36630084193ee942322f24d42d609fc887375cead0ae7686d86",
 }
 
 
@@ -161,9 +180,10 @@ def _digest(labels: np.ndarray) -> str:
     return hashlib.sha256(labels.tobytes()).hexdigest()
 
 
-def test_generator_labels_are_pinned():
+def test_generator_labels_are_pinned(partition_11):
     for g, digest in GENERATOR_LABEL_DIGESTS.items():
-        assert _digest(enumerate_orbits(g).labels) == digest, g
+        part = partition_11 if g == 11 else enumerate_orbits(g)
+        assert _digest(part.labels) == digest, g
 
 
 def test_transvection_labels_are_pinned():
@@ -250,6 +270,36 @@ def test_twist_plan_refuses_a_class_with_a_and_b_overlapping():
         _twist_plan(3, gamma_key)
     with pytest.raises(ValueError, match="a & b = 0"):
         _closure_partition(3, [gamma_key])
+
+
+def test_orbits_below_the_frontier_limit_skip_the_sweeps(monkeypatch):
+    # the sparse start hands an orbit to the bitset only once it holds n >> 10
+    # keys: at g = 9 the 190- and 1-key orbits, at g = 10 the 22-key one,
+    # close without a sweep
+    popcounts = []
+    sweep = orbits._sweep
+
+    def recording_sweep(bits, plans):
+        popcounts.append(int(np.bitwise_count(bits).sum()))
+        sweep(bits, plans)
+
+    monkeypatch.setattr(orbits, "_sweep", recording_sweep)
+    for g in (9, 10):
+        popcounts.clear()
+        limit = (1 << (2 * g)) >> 10
+        assert min(enumerate_orbits(g).sizes().values()) < limit
+        assert popcounts and min(popcounts) >= limit, g
+
+
+def test_small_genera_skip_the_frontier_phase(monkeypatch):
+    # n >> 10 <= 1 at g <= 5, so no twist_keys call: these genera sweep from
+    # the seed alone
+    def refuse(*args):
+        raise AssertionError("twist_keys called at g = 5")
+
+    monkeypatch.setattr(orbits, "twist_keys", refuse)
+    assert _digest(enumerate_orbits(5).labels) == GENERATOR_LABEL_DIGESTS[5]
+    assert _digest(sp_transvection_orbits(5).labels) == TRANSVECTION_LABEL_DIGESTS[5]
 
 
 def test_closure_refuses_a_256th_orbit():
