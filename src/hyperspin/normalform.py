@@ -249,7 +249,10 @@ def _pass(
 
     lone = bottom & ~top
     if lone:
-        bottoms = [2 * k for k, _ in _column_kinds(0, lone)]
+        bottoms = []
+        while lone:
+            bottoms.append(2 * (low := lone & -lone).bit_length())
+            lone ^= low
         emit("clear-bottom-columns", bottoms, (top, top & bottom))
         return top, bottom
     columns = _column_kinds(top, bottom)

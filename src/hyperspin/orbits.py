@@ -101,19 +101,19 @@ def arf_keys(g: int, keys: np.ndarray) -> np.ndarray:
 def first_disagreement(partition: OrbitPartition, values) -> int | None:
     """The least key whose value differs from the value at its orbit's seed.
 
-    values maps a uint32 key block to one value per key, and the seeds'
-    values come from it too.  An orbit's seed is a member of it, so None
-    means the value is constant on every orbit.
+    values maps a uint32 key block to one uint8 value per key, and the
+    seeds' values come from it too.  An orbit's seed is a member of it, so
+    None means the value is constant on every orbit.
     """
     ordinals = partition.ordinals
-    seed_values = values(np.array(partition.orbit_ids, dtype=np.uint32))
+    # Ordinal k maps to the value at seed k - 1, and an unseen key's 0 to 255.
+    seeds = values(np.array(partition.orbit_ids, dtype=np.uint32)).astype("u1", casting="safe")
+    table = (b"\xff" + seeds.tobytes()).ljust(256, b"\xff")
     for start in range(0, ordinals.size, _KEY_BLOCK):
-        keys = np.arange(start, min(start + _KEY_BLOCK, ordinals.size), dtype=np.uint32)
-        # Ordinal k is seed k - 1 (an unseen key's 0 wraps to 255, past the
-        # table).  One expression, so no block-sized array outlives its block.
-        bad = np.flatnonzero(
-            values(keys) != seed_values[ordinals[start : start + keys.size] - 1]
-        )
+        block = ordinals[start : start + _KEY_BLOCK]
+        keys = np.arange(start, start + block.size, dtype=np.uint32)
+        # One expression, so no block-sized array outlives its block.
+        bad = np.flatnonzero(values(keys) != np.frombuffer(block.tobytes().translate(table), "u1"))
         if bad.size:
             return start + int(bad[0])
     return None

@@ -299,6 +299,17 @@ def test_verify_sp_crosscheck_fails_when_genus_two_partitions_differ(capsys, mon
     assert "2\tsp-crosscheck\tFAIL\tpartitions differ" in out.splitlines()
 
 
+# verify's stdout rows for the default range 3..8 and for 9..12
+VERIFY_DIGEST = "a0576f254a89f336c9124cade8abcfb67dbb33e912353f4138e83cd521507550"
+VERIFY_9_12_DIGEST = "e42b42d901003da0bc41314821b7ba8a3189ea22ede8eb0a96956fe40800f66a"
+
+
+def _rows_digest(out):
+    """The sha256 of verify's stdout without its elapsed line."""
+    lines = [line for line in out.splitlines() if not line.startswith("# elapsed")]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -310,7 +321,7 @@ def test_verify_sp_crosscheck_fails_when_genus_two_partitions_differ(capsys, mon
         # the exhaustive-reduction cap of class-agreement
         (["verify", "9"], "48b7b0044c2e71ec219b5dcaffd4571347c9caec637e9df9ddfe50ed5f546c43"),
         # the default range 3..8, every class-agreement row included
-        (["verify"], "a0576f254a89f336c9124cade8abcfb67dbb33e912353f4138e83cd521507550"),
+        (["verify"], VERIFY_DIGEST),
         # an even genus inside the enumeration cap and above the reduction cap
         (["verify", "10"], "a4c398f34024fde9deebcac66a03a2b47f19b0345b974ad14a02ffea31d1d94b"),
         # the default cap's notice, and g = 14, which has no fixed-point row
@@ -323,8 +334,17 @@ def test_verify_sp_crosscheck_fails_when_genus_two_partitions_differ(capsys, mon
 def test_verify_rows_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK
-    lines = [line for line in out.splitlines() if not line.startswith("# elapsed")]
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+    assert _rows_digest(out) == digest
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [("verify-default", VERIFY_DIGEST), ("verify-enum", VERIFY_9_12_DIGEST)],
+)
+def test_benchmark_reference_outputs_are_the_pinned_rows(name, digest):
+    # the benchmark checks each verify pass against these files
+    ref = Path(__file__).resolve().parents[1] / "perfbench" / "ref" / f"{name}.txt"
+    assert _rows_digest(ref.read_text()) == digest
 
 
 def test_verify_json_rows_match_the_text_rows(capsys):
@@ -417,20 +437,25 @@ def _row_of(out, g, check):
 @pytest.mark.parametrize(
     "name, patch, detail",
     [
+        # the relations row acts on packed rows through cli._act_letter
         (
-            "apply_generator",
-            lambda m, i: SpinMatrix(m.g, (m.top + 1) % (1 << m.g), m.bottom),
+            "_act_letter",
+            lambda g, top, bottom, i: ((top + 1) % (1 << g), bottom),
             "generator 1 not an involution",
         ),
+        ("_act_letter", lambda g, top, bottom, i: (top ^ 1, bottom), "generator 1 changes Arf"),
+        # s_3 acting as s_2: still an involution that keeps the Arf
         (
-            "apply_generator",
-            lambda m, i: SpinMatrix(m.g, m.top ^ 1, m.bottom),
-            "generator 1 changes Arf",
+            "_act_letter",
+            lambda g, top, bottom, i: braid._act_letter(g, top, bottom, 2 if i == 3 else i),
+            "1,3 do not commute",
         ),
-        ("apply_word", lambda m, word: braid.apply_word(m, word[:1]), "1,3 do not commute"),
+        # s_1 acting as the identity commutes with every letter
         (
-            "apply_word",
-            lambda m, word: braid.apply_word(m, sorted(word)),
+            "_act_letter",
+            lambda g, top, bottom, i: (
+                (top, bottom) if i == 1 else braid._act_letter(g, top, bottom, i)
+            ),
             "braid relation fails at 1",
         ),
         ("intersection", lambda x, y: 0, "quadratic refinement violated"),

@@ -389,6 +389,25 @@ def test_every_pass_lowers_the_packed_key(g):
     assert unstepped == {canonical_form(g, m).key() for m in range((g + 1) // 2 + 1)}
 
 
+@pytest.mark.parametrize("g", [3, 4, 5, 6])
+def test_clear_bottom_pass_flips_each_lone_bottom_column_in_ascending_order(g):
+    # read the (0,1) columns off the text form, column 1 first
+    for matrix in every_matrix(g):
+        top_row, bottom_row = str(matrix).split("/")
+        lone = [k for k, column in enumerate(zip(top_row, bottom_row), 1) if column == ("0", "1")]
+        if not lone:
+            continue
+        steps = []
+        rows = normalform._pass(g, matrix.top, matrix.bottom, steps)
+        cleared = (matrix.top, matrix.top & matrix.bottom)
+        assert rows == cleared
+        assert steps == [
+            normalform.ReductionStep(
+                "clear-bottom-columns", tuple(2 * k for k in lone), SpinMatrix(g, *cleared)
+            )
+        ], str(matrix)
+
+
 def _rising_pass(monkeypatch):
     """Make the first pass that applies land on the all-ones rows, the top key.
 

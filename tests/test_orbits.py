@@ -501,6 +501,9 @@ def test_arf_check_reads_the_last_block(partition_11):
     broken[last] = 1 + seed_arf.index(1 - seed_arf[ordinals[last] - 1])
     broken_partition = dataclasses.replace(partition_11, ordinals=broken)
     assert first_disagreement(broken_partition, lambda keys: arf_keys(g, keys)) == last
+    # values must be one byte per key: a wider dtype is refused, not truncated
+    with pytest.raises(TypeError):
+        first_disagreement(partition_11, lambda keys: keys)
 
 
 def test_class_agreement_with_partition(partitions):
