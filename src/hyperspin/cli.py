@@ -154,8 +154,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _emit(payload: dict | list[dict], as_json: bool) -> None:
     """Print payload as one JSON line; as text, a dict prints as
-    key<TAB>value lines and a list of rows as a TSV table headed by the
-    first row's keys, with None printed as '-'.
+    key<TAB>value lines (None as 'None') and a list of rows as a TSV table
+    headed by the first row's keys, with None cells printed as '-'.
 
     The whole text is built before any of it is written, so a failure
     while formatting leaves stdout empty.

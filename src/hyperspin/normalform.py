@@ -54,17 +54,19 @@ key top | bottom << g, an end state other than canonical_form(g, m)
 recording, a trace word that does not replay to it all raise
 SelfCheckError.
 
-Passes.  _pass applies the one guarded pass that fits the current rows:
-clear-bottom-columns while a (0,1) column is left, else one loop pass
-(align, cancel and clear together), else one pack move; it returns None
-when none applies, and _end_class then checks the end state.  Every pass
-lowers the key: clear-bottom-columns clears bottom bits, a loop pass
-zeroes its window and leaves the other columns alone, and a pack move
-shifts one column's bits to a column further left.  reduce_to_canonical
-(and class_index) repeat passes until none applies.  class_table makes
-one pass per key, in increasing key order, and takes the class of the
-lower key it lands on; so it steps every key but the canonical forms
-exactly once, every step under its guards.
+Passes.  _plan reads the one pass that fits the current rows as a list
+of steps, each a word and the window it must leave, and _pass applies
+them under their guards.  The pass is clear-bottom-columns while a (0,1)
+column is left, else one loop pass (align, cancel and clear together),
+else drop-top-left or drop-top-right, else one pack move; _plan returns
+None when none applies, and _end_class then checks the end state.  Every
+pass lowers the key: clear-bottom-columns clears bottom bits, a loop pass
+zeroes its window and leaves the other columns alone, a drop clears one
+top bit, and a pack move shifts one column's bits to a column further
+left.  reduce_to_canonical (and class_index) repeat passes until none
+applies.  class_table makes one pass per key, in increasing key order,
+and takes the class of the lower key it lands on; so it steps every key
+but the canonical forms exactly once, every step under its guards.
 
 Trace serialization (one step per line): ``<moveName> <word> -> <matrix>``.
 """
@@ -72,15 +74,9 @@ Trace serialization (one step per line): ``<moveName> <word> -> <matrix>``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .braid import Word, _act_letter, apply_word, format_word
 from .gf2 import SpinMatrix
-
-# Column patterns of a 2 x g matrix, named by which bits are set.
-_FULL = 3  # (1,1)
-_TOP = 1  # (1,0)
-_BOT = 2  # (0,1)
 
 
 class SelfCheckError(RuntimeError):
@@ -195,48 +191,80 @@ class ReductionTrace:
         return canonical_form(self.start.g, self.class_index)
 
 
-def _column_kinds(top: int, bottom: int) -> list[tuple[int, int]]:
-    """Nonzero columns as (position, pattern), left to right."""
-    out = []
-    occupied = top | bottom
-    while occupied:
-        low = occupied & -occupied
-        pattern = (_TOP if top & low else 0) | (_BOT if bottom & low else 0)
-        out.append((low.bit_length(), pattern))
-        occupied ^= low
-    return out
+def _rightmost_equal_pair(top: int, bottom: int) -> tuple[int, int] | None:
+    """Rightmost adjacent equal pair among the nonzero columns: (pos, pos').
 
-
-def _rightmost_equal_pair(
-    columns: list[tuple[int, int]],
-) -> tuple[int, int, int] | None:
-    """Rightmost adjacent equal pair among nonzero columns: (pos, pos', kind)."""
-    for idx in range(len(columns) - 2, -1, -1):
-        (p, kind), (q, kind2) = columns[idx], columns[idx + 1]
-        if kind == kind2:
-            return p, q, kind
+    bottom must lie within top, so the nonzero columns are the set bits of
+    top and each one's pattern is its bottom bit.
+    """
+    i = top.bit_length()
+    while i and (below := top & (1 << i - 1) - 1):
+        s = below.bit_length()
+        if not (bottom >> s - 1 ^ bottom >> i - 1) & 1:
+            return s, i
+        i = s
     return None
+
+
+def _plan(g: int, top: int, bottom: int) -> list[tuple] | None:
+    """The one pass that fits the rows, as steps (name, word, lo, hi, t, b).
+
+    A step applies word; columns lo..hi must then read (t, b), bit 0 at
+    column lo, and every other column stays as it was.  The pass is
+    clear-bottom-columns if a (0,1) column is left, else one loop pass on
+    the rightmost equal pair, else drop-top-left or drop-top-right, else the
+    pack move of the first unpacked column.  None means no pass applies.
+    """
+    lone = bottom & ~top
+    if lone:
+        bottoms = []
+        while lone:
+            bottoms.append(2 * (low := lone & -lone).bit_length())
+            lone ^= low
+        return [("clear-bottom-columns", bottoms, 1, g, top, top & bottom)]
+    # now bottom lies within top: the nonzero columns are top's set bits
+    if (pair := _rightmost_equal_pair(top, bottom)) is not None:
+        s, i = pair
+        if not bottom >> i - 1 & 1:
+            return [("cancel-top-pair", range(2 * i - 1, 2 * s, -2), s, i, 0, 0)]
+        plan = []
+        if i > s + 1:
+            word = (*range(2 * s + 2, 2 * i, 2), *range(2 * i - 1, 2 * s + 2, -2))
+            plan.append(("align-full-pair", word, s, i, 0b11, (1 << i - s + 1) - 1))
+        plan.append(("cancel-full-pair", (2 * s + 1,), s, s + 1, 0b00, 0b11))
+        plan.append(("clear-bottom-columns", range(2 * s, 2 * i + 2, 2), s, i, 0, 0))
+        return plan
+    if top & -top & ~bottom:
+        p = (top & -top).bit_length()
+        return [("drop-top-left", range(2 * p - 1, 0, -2), 1, p, 0, 0)]
+    p = top.bit_length()
+    if p and not bottom >> p - 1 & 1:
+        return [("drop-top-right", range(2 * p + 1, 2 * g + 2, 2), p, g, 0, 0)]
+    t = (top + 1 & ~top).bit_length()  # the first zero column
+    if not top >> t:
+        return None
+    s = t + (top >> t & -(top >> t)).bit_length()  # the first nonzero column after it
+    if bottom >> s - 1 & 1:
+        word = (*range(2 * t, 2 * s, 2), *range(2 * s - 1, 2 * t, -2),
+                *range(2 * t + 2, 2 * s + 2, 2))
+        return [("pack-full-column", word, t, s, 1, 1)]
+    return [("pack-top-column", range(2 * s - 1, 2 * t, -2), t, s, 1, 0)]
 
 
 def _pass(
     g: int, top: int, bottom: int, steps: list[ReductionStep] | None
 ) -> tuple[int, int] | None:
-    """Apply the one guarded pass that fits the rows; return the rows after it.
+    """Apply the steps of _plan(g, top, bottom) under their guards; return the rows.
 
-    The pass is clear-bottom-columns if a (0,1) column is left, else one
-    loop pass on the rightmost equal pair, else drop-top-left or
-    drop-top-right, else the pack move of the first unpacked column.  None
-    means no pass applies.  Steps are appended to steps unless it is None.
+    Each step must leave exactly the rows it states.  None means no pass
+    applies.  Steps are appended to steps unless it is None.
     """
-
-    def placed(lo: int, hi: int, t: int, b: int) -> tuple[int, int]:
-        """The rows with columns lo..hi rewritten as (t, b), bit 0 at column lo."""
+    plan = _plan(g, top, bottom)
+    if plan is None:
+        return None
+    for name, word, lo, hi, t, b in plan:
         keep = ~((1 << hi) - (1 << lo - 1))
-        return (top & keep) | t << lo - 1, (bottom & keep) | b << lo - 1
-
-    def emit(name: str, word: Sequence[int], want: tuple[int, int]) -> None:
-        """Apply word; the rows must then be exactly want."""
-        nonlocal top, bottom
+        want = (top & keep) | t << lo - 1, (bottom & keep) | b << lo - 1
         for i in word:
             top, bottom = _act_letter(g, top, bottom, i)
         if (top, bottom) != want:
@@ -246,50 +274,6 @@ def _pass(
             )
         if steps is not None:
             steps.append(ReductionStep(name, tuple(word), SpinMatrix(g, top, bottom)))
-
-    lone = bottom & ~top
-    if lone:
-        bottoms = []
-        while lone:
-            bottoms.append(2 * (low := lone & -lone).bit_length())
-            lone ^= low
-        emit("clear-bottom-columns", bottoms, (top, top & bottom))
-        return top, bottom
-    columns = _column_kinds(top, bottom)
-    if (pair := _rightmost_equal_pair(columns)) is not None:
-        s, i, kind = pair
-        if kind == _FULL:
-            if i > s + 1:
-                emit(
-                    "align-full-pair",
-                    (*range(2 * s + 2, 2 * i, 2), *range(2 * i - 1, 2 * s + 2, -2)),
-                    placed(s, i, 0b11, (1 << i - s + 1) - 1),
-                )
-            emit("cancel-full-pair", (2 * s + 1,), placed(s, s + 1, 0b00, 0b11))
-            emit("clear-bottom-columns", range(2 * s, 2 * i + 2, 2), placed(s, i, 0, 0))
-        else:
-            emit("cancel-top-pair", range(2 * i - 1, 2 * s, -2), placed(s, i, 0, 0))
-    elif columns and columns[0][1] == _TOP:
-        p = columns[0][0]
-        emit("drop-top-left", range(2 * p - 1, 0, -2), placed(1, p, 0, 0))
-    elif columns and columns[-1][1] == _TOP:
-        p = columns[-1][0]
-        emit("drop-top-right", range(2 * p + 1, 2 * g + 2, 2), placed(p, g, 0, 0))
-    else:
-        for t, (s, kind) in enumerate(columns, start=1):
-            if s != t:
-                break
-        else:
-            return None
-        if kind == _FULL:
-            emit(
-                "pack-full-column",
-                (*range(2 * t, 2 * s, 2), *range(2 * s - 1, 2 * t, -2),
-                 *range(2 * t + 2, 2 * s + 2, 2)),
-                placed(t, s, 1, 1),
-            )
-        else:
-            emit("pack-top-column", range(2 * s - 1, 2 * t, -2), placed(t, s, 1, 0))
     return top, bottom
 
 

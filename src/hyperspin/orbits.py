@@ -215,8 +215,8 @@ def _closure_partition(g: int, classes) -> tuple[np.ndarray, dict[int, int]]:
         found = [np.array([seed], dtype=np.uint32)]
         size = 1
         while found[-1].size and size < n >> 10:
-            images = twist_keys(g, gammas, found[-1][:, None]).ravel()
-            fresh = images[ordinals[images] == 0]
+            fresh = twist_keys(g, gammas, found[-1][:, None]).ravel()
+            fresh = fresh[ordinals[fresh] == 0]  # frees the level's images
             fresh.sort()
             first = np.ones(fresh.size, dtype=bool)  # drop repeats
             np.not_equal(fresh[1:], fresh[:-1], out=first[1:])

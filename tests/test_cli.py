@@ -168,6 +168,10 @@ def test_isotropy_report(capsys):
     assert "tau_fixes\tTrue" in out
     assert "predicted_order\t1152" in out
     assert "observed_order\t1152" in out
+    # a dict prints None as it is; only table cells print it as '-'
+    code, out, _ = run(capsys, "isotropy", "3", "2")
+    assert code == EXIT_OK
+    assert "moving_generator\tNone" in out.splitlines()
 
 
 def test_isotropy_prints_exact_orders_past_the_digit_limit(capsys):
@@ -410,7 +414,7 @@ def test_verify_scans_for_fixed_points_when_the_enumeration_fails(capsys, monkey
 def test_verify_reports_reducer_guard_failures_as_rows(capsys, monkeypatch):
     # with no pair ever cancelled, the reducer's end-state guard fires on
     # every input that needs a cancellation; only the rows that reduce fail
-    monkeypatch.setattr(normalform, "_rightmost_equal_pair", lambda columns: None)
+    monkeypatch.setattr(normalform, "_rightmost_equal_pair", lambda top, bottom: None)
     code, out, _ = run(capsys, "verify", "3")
     assert code == EXIT_CHECK_FAILED
     rows = [line.split("\t") for line in out.splitlines()[1:-1]]

@@ -231,7 +231,7 @@ def test_reduction_end_state_is_checked_against_the_canonical_form(monkeypatch, 
     # with no pair ever cancelled, survivors that do not alternate reach the
     # packing; each pack step does what it states, so only the end-state
     # comparison with canonical_form can reject them
-    monkeypatch.setattr(normalform, "_rightmost_equal_pair", lambda columns: None)
+    monkeypatch.setattr(normalform, "_rightmost_equal_pair", lambda top, bottom: None)
     with pytest.raises(SelfCheckError, match=f"not the class-{m} form"):
         reduce_to_canonical(SpinMatrix.from_text(text))
 
@@ -456,6 +456,59 @@ def test_class_table_raises_on_a_faulty_action(monkeypatch):
     )
     with pytest.raises(SelfCheckError):
         normalform.class_table(5)
+
+
+def _column_kinds(top, bottom):
+    """Nonzero columns as (position, pattern), left to right: pattern bit 1
+    is the top bit, bit 2 the bottom bit."""
+    out = []
+    occupied = top | bottom
+    while occupied:
+        low = occupied & -occupied
+        pattern = (1 if top & low else 0) | (2 if bottom & low else 0)
+        out.append((low.bit_length(), pattern))
+        occupied ^= low
+    return out
+
+
+def _column_list_equal_pair(top, bottom):
+    """Reference scan: the rightmost adjacent equal pair of the column list."""
+    columns = _column_kinds(top, bottom)
+    for idx in range(len(columns) - 2, -1, -1):
+        (p, kind), (q, kind2) = columns[idx], columns[idx + 1]
+        if kind == kind2:
+            return p, q
+    return None
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_rightmost_equal_pair_agrees_with_the_column_list_scan(g):
+    checked = 0
+    for top in range(1 << g):
+        bottom = top
+        while True:  # every bottom within top, top itself first
+            expected = _column_list_equal_pair(top, bottom)
+            assert normalform._rightmost_equal_pair(top, bottom) == expected, (top, bottom)
+            checked += 1
+            if not bottom:
+                break
+            bottom = bottom - 1 & top
+    assert checked == 3**g
+
+
+def test_docstring_move_table_lists_the_moves_the_passes_make():
+    # the move table in the module docstring: a move name starts each row,
+    # continuation lines are indented past it
+    doc = normalform.__doc__
+    table = doc[doc.index("the rest stay:\n\n") :].split("\n\n")[1]
+    names = [line.split()[0] for line in table.splitlines()[1:] if not line.startswith("   ")]
+    made = set()
+    for g in range(3, 7):
+        mask = (1 << g) - 1
+        for key in range(1 << (2 * g)):
+            made.update(step[0] for step in normalform._plan(g, key & mask, key >> g) or ())
+    assert len(names) == len(set(names))
+    assert set(names) == made
 
 
 def test_class_table_rejects_small_genus():
