@@ -2,14 +2,15 @@
 
 States are packed keys (top word in the low g bits, bottom word above).
 Each generator orbit is closed under the 2g+1 twists, up to the
-enumeration ceiling g = 12 (2^24 states): it grows from its seed as key
-arrays while it holds fewer than 2^(2g-10) keys, and a larger one moves
-into a bitset of all keys and is swept to closure there.  The transvection
-orbits are closed the same way, under the twists about the 2g+1 Humphries
-curves: these generate the mapping class group (Humphries 1979; Farb and
-Margalit, A Primer on Mapping Class Groups, Sec. 4.4), which maps onto
-Sp(2g, Z/2) (Primer, Thm 6.4), so they have the orbits of all
-transvections.
+enumeration ceiling g = 12 (2^24 states), in a bitset of all keys from one
+frontier, the keys whose twists are still to apply: a frontier of fewer
+than 2^(2g-11) keys is twisted as a key array, a larger one by a sweep of
+the whole bitset, and each step's new keys are the next frontier.  The
+transvection orbits are closed the same way, under the twists about the
+2g+1 Humphries curves: these generate the mapping class group (Humphries
+1979; Farb and Margalit, A Primer on Mapping Class Groups, Sec. 4.4),
+which maps onto Sp(2g, Z/2) (Primer, Thm 6.4), so they have the orbits of
+all transvections.
 
 Determinism: orbits are seeded in increasing key order and labelled by
 their minimum packed key, so the partition, census and all derived tables
@@ -21,10 +22,11 @@ used for them.
 
 Memory: a partition is a uint8 map of orbit ordinals, 16 MB at g = 12;
 4-byte minimum-key labels are derived only when asked for.  The closure
-adds a 2 MB bitset and temporaries no larger: the key arrays of the sparse
-start peak below 1 MB, since a level runs only while the orbit holds fewer
-than 2^(2g-10) keys.  The passes over all keys walk them in blocks of 2^20
-keys, so `verify 9..12` peaks at about 60 MB.
+adds a 2 MB bitset, a 2 MB snapshot of it taken before each sweep, and a
+sweep's temporaries, about 4 MB at g = 12; a level's images stay below
+1 MB, since a level twists fewer than 2^(2g-11) keys.  The passes over all
+keys walk them in blocks of 2^20 keys, so `verify 9..12` peaks at about
+60 MB.
 """
 
 from __future__ import annotations
@@ -177,30 +179,35 @@ def _closure_partition(g: int, classes) -> tuple[np.ndarray, dict[int, int]]:
     ordinals[key] = k puts key in the k-th orbit found and 0 marks it
     unseen; sizes maps each orbit's seed to its size, so its k-th key is the
     seed of ordinal k.  Each orbit is seeded with the least key the map
-    still marks unseen, its minimum key, and grown from it in two phases.
+    still marks unseen, its minimum key, and closed in a _bitset S from a
+    frontier: the keys of S whose twists have not been applied yet.  Every
+    key of S outside the frontier has all its twists in S, so when no key
+    is left to twist S is closed, and, grown from the seed by twists, it is
+    the seed's orbit.  Two kinds of step shrink the frontier to nothing:
 
-    Sparse start: while the orbit holds fewer than n >> 10 keys, one level
-    twists the last level's keys about every class in one twist_keys call
-    and keeps the unseen images, once each, writing their ordinal.  A level
-    that keeps no key means every twist of every key found was already
-    found: the keys found are closed, and, grown from the seed by twists,
-    they are the seed's orbit, already in the map.  At g <= 5, n >> 10 <= 1,
-    so no level runs.
+    Level, while the frontier holds fewer than n >> 11 keys: one twist_keys
+    call twists it about every class, and the images not yet in S, once
+    each, go into S and are the next frontier.  At g <= 5, n >> 11 = 0, so
+    no level runs.
 
-    Bitset sweeps: an orbit that reaches n >> 10 keys goes into a _bitset S.
-    Sweeps S |= tau(S & F), F the keys a twist tau moves, run through the
-    classes and back until one leaves the popcount of S unchanged.  Each |=
-    of that sweep added nothing, so tau(S & F) lies in S for every class: S
-    is closed, and it is the seed's orbit.  Its ordinal is OR-ed into the
-    map in key blocks; the keys the sparse start wrote already hold it.
+    Sweep, once the frontier is larger: S |= tau(S & F), F the keys a twist
+    tau moves, through the classes and back.  Each tau acts on a superset
+    of the S the sweep started from, so every key of that S now has all its
+    twists in S, and the frontier is the keys the sweep added, read off a
+    snapshot of S.  Fewer than n >> 11 of them go back to levels.
+
+    Every orbit's ordinal is then OR-ed into the map in key blocks.
     """
     sweep = [_twist_plan(g, gamma_key) for gamma_key in classes]
     sweep += sweep[-2:0:-1]  # s_1..s_n..s_2: no twist twice in a row
     gammas = np.array(classes, dtype=np.uint32)
     n = 1 << (2 * g)
+    small = n >> 11  # a frontier below this many keys is twisted as a level
     ordinals = np.zeros(n, dtype=np.uint8)
     bits = _bitset(g)
     words = bits.reshape(-1)
+    octets = words.view(np.uint8)  # key k is bit k & 7 of octet k >> 3
+    before = np.empty_like(words)  # S before a sweep
     sizes: dict[int, int] = {}
     seed = 0
     while True:
@@ -211,37 +218,40 @@ def _closure_partition(g: int, classes) -> tuple[np.ndarray, dict[int, int]]:
         ordinal = len(sizes) + 1
         if ordinal > 255:  # the largest uint8 ordinal
             raise SelfCheckError("more than 255 orbits")
-        ordinals[seed] = ordinal
-        found = [np.array([seed], dtype=np.uint32)]
-        size = 1
-        while found[-1].size and size < n >> 10:
-            fresh = twist_keys(g, gammas, found[-1][:, None]).ravel()
-            fresh = fresh[ordinals[fresh] == 0]  # frees the level's images
-            fresh.sort()
-            first = np.ones(fresh.size, dtype=bool)  # drop repeats
-            np.not_equal(fresh[1:], fresh[:-1], out=first[1:])
-            fresh = fresh[first]
-            ordinals[fresh] = ordinal
-            size += fresh.size
-            found.append(fresh)
-        if not found[-1].size:
-            sizes[seed] = size  # closed while sparse; its ordinals are written
-            continue
-        keys = np.concatenate(found)
         words[:] = 0
-        np.bitwise_or.at(words, keys >> np.uint32(6), np.uint64(1) << (keys & np.uint32(63)))
-        last = 0
-        while size != last:
-            last = size
-            _sweep(bits, sweep)
-            size = int(np.bitwise_count(words).sum())
+        octets[seed >> 3] = 1 << (seed & 7)
+        frontier = np.array([seed], dtype=np.uint32)
+        size = added = 1
+        while added:
+            if added < small:
+                fresh = twist_keys(g, gammas, frontier[:, None]).ravel()
+                fresh = fresh[octets[fresh >> 3] >> (fresh & 7) & 1 == 0]  # frees the images
+                fresh.sort()
+                first = np.ones(fresh.size, dtype=bool)  # drop repeats
+                np.not_equal(fresh[1:], fresh[:-1], out=first[1:])
+                frontier = fresh[first]
+                bit = np.uint64(1) << (frontier & np.uint32(63))
+                np.bitwise_or.at(words, frontier >> np.uint32(6), bit)
+                added = frontier.size
+            else:
+                np.copyto(before, words)
+                _sweep(bits, sweep)
+                before ^= words  # the keys the sweep added
+                added = int(np.bitwise_count(before).sum())
+                if added < small:
+                    at = np.flatnonzero(before)  # the words that gained keys
+                    pos = np.flatnonzero(
+                        np.unpackbits(before[at].view(np.uint8), bitorder="little")
+                    )
+                    frontier = (at[pos >> 6] << 6 | pos & 63).astype(np.uint32)
+            size += added
         for start in range(0, n, _KEY_BLOCK):
             block = words[start >> 6 : (start + _KEY_BLOCK) >> 6]
             if block.any():
                 members = np.unpackbits(
                     block.view(np.uint8), count=min(n, _KEY_BLOCK), bitorder="little"
                 )
-                members *= np.uint8(ordinal)  # its keys hold 0, or ordinal if found sparse
+                members *= np.uint8(ordinal)  # its keys are unseen, so they hold 0
                 ordinals[start : start + _KEY_BLOCK] |= members
                 del members  # so that one block's is alive at a time
         sizes[seed] = size

@@ -2,11 +2,12 @@
 
 It shares no code with the bitset sweeps of the closure behind
 enumerate_orbits and sp_transvection_orbits, which compile each class into
-a _twist_plan.  It does share twist_keys with the closure's sparse start,
-which grows each small orbit through it; this oracle calls it one class at
-a time, the sparse start for all classes at once.  So its independence
-rests on twist_keys, which tests/test_orbits.py checks against
-gf2.dehn_twist, the scalar reference.
+a _twist_plan.  It does share twist_keys with the closure's levels, which
+twist every frontier of fewer than n >> 11 keys through it, at an orbit's
+start and after a sweep hands back the few keys it added; this oracle
+calls it one class at a time, a level for all classes at once.  So its
+independence rests on twist_keys, which tests/test_orbits.py checks
+against gf2.dehn_twist, the scalar reference.
 """
 
 import numpy as np

@@ -186,6 +186,23 @@ def test_generator_labels_are_pinned(partition_11):
         assert _digest(part.labels) == digest, g
 
 
+def test_generator_partition_at_the_ceiling_is_pinned():
+    # g = 12 by its 16 MB of ordinals, not its 64 MB of labels
+    part = enumerate_orbits(12)
+    assert hashlib.sha256(part.ordinals).hexdigest() == (
+        "73c9c6f9c8b362dab35f5dc4e0970b93ccf29e3d872752ce5b69739b8f72cc13"
+    )
+    assert part.sizes() == {
+        0: 5200300,
+        4097: 7726160,
+        20487: 3124550,
+        86047: 657800,
+        348287: 65780,
+        1397247: 2600,
+        5593087: 26,
+    }
+
+
 def test_transvection_labels_are_pinned():
     for g, digest in TRANSVECTION_LABEL_DIGESTS.items():
         assert _digest(sp_transvection_orbits(g).labels) == digest, g
@@ -273,27 +290,53 @@ def test_twist_plan_refuses_a_class_with_a_and_b_overlapping():
 
 
 def test_orbits_below_the_frontier_limit_skip_the_sweeps(monkeypatch):
-    # the sparse start hands an orbit to the bitset only once it holds n >> 10
-    # keys: at g = 9 the 190- and 1-key orbits, at g = 10 the 22-key one,
-    # close without a sweep
-    popcounts = []
+    # a frontier of fewer than n >> 11 keys is twisted as a level, so the
+    # 190- and 1-key orbits at g = 9 and the 22-key orbit at g = 10 close
+    # without a sweep: no bitset a sweep runs on holds their seeds
+    held = []
     sweep = orbits._sweep
 
     def recording_sweep(bits, plans):
-        popcounts.append(int(np.bitwise_count(bits).sum()))
+        words = bits.reshape(-1)
+        held.extend(seed for seed in seeds if int(words[seed >> 6]) >> (seed & 63) & 1)
         sweep(bits, plans)
 
     monkeypatch.setattr(orbits, "_sweep", recording_sweep)
-    for g in (9, 10):
-        popcounts.clear()
-        limit = (1 << (2 * g)) >> 10
-        assert min(enumerate_orbits(g).sizes().values()) < limit
-        assert popcounts and min(popcounts) >= limit, g
+    for g, seeds in ((9, {43647: 190, 175103: 1}), (10, {349695: 22})):
+        sizes = enumerate_orbits(g).sizes()
+        assert {seed: sizes[seed] for seed in seeds} == seeds, g
+    assert held == []
+
+
+def test_sweeps_hand_small_frontiers_back_to_levels(monkeypatch):
+    # at g = 10 a level's frontier grows past n >> 11 keys and goes to a
+    # sweep, and a sweep that adds fewer keys hands them to a level of the
+    # same orbit: that level's frontier lies in the bitset the sweep left
+    calls = []
+    sweep, twist = orbits._sweep, orbits.twist_keys
+
+    def recording_sweep(bits, plans):
+        sweep(bits, plans)
+        calls.append(("sweep", bits.reshape(-1).copy()))
+
+    def recording_twist(g, gamma_key, keys):
+        calls.append(("level", keys.ravel().tolist()))
+        return twist(g, gamma_key, keys)
+
+    monkeypatch.setattr(orbits, "_sweep", recording_sweep)
+    monkeypatch.setattr(orbits, "twist_keys", recording_twist)
+    enumerate_orbits(10)
+    steps = list(zip(calls, calls[1:]))
+    assert any(a == "level" and b == "sweep" for (a, _), (b, _) in steps)
+    assert any(
+        a == "sweep" and b == "level" and all(int(words[k >> 6]) >> (k & 63) & 1 for k in keys)
+        for (a, words), (b, keys) in steps
+    )
 
 
 def test_small_genera_skip_the_frontier_phase(monkeypatch):
-    # n >> 10 <= 1 at g <= 5, so no twist_keys call: these genera sweep from
-    # the seed alone
+    # n >> 11 = 0 at g <= 5, so no frontier is small enough for a level and
+    # no twist_keys call is made: these genera sweep from the seed alone
     def refuse(*args):
         raise AssertionError("twist_keys called at g = 5")
 
