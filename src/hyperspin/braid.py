@@ -24,9 +24,9 @@ the test suite; the reverse order does not reproduce them.
 Words print as comma-separated generator indices, e.g. ``8,10``.
 
 This module is the generator action and nothing else: the twist classes,
-the letter action on packed rows, words of letters and the flip word.  It
-holds no permutations of the points; that the action factors through
-S_{2g+2} is checked through the Coxeter relations.
+the letter action on packed rows (ints, or uint32 arrays of rows), words of
+letters and the flip word.  It holds no permutations of the points; that the
+action factors through S_{2g+2} is checked through the Coxeter relations.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def generator_class(i: int, g: int) -> HomologyClass:
 
 
 def _act_letter(g: int, top: int, bottom: int, i: int) -> tuple[int, int]:
-    """Apply generator s_i to packed rows.  No range check; callers validate."""
+    """Apply s_i to packed rows, ints or uint32 arrays.  No range check; callers validate."""
     if i == 1:
         return top ^ (~bottom & 1), bottom
     if i == 2 * g + 1:

@@ -358,9 +358,8 @@ def _check_isotropy(g: int, partition) -> tuple[str, str]:
 
 
 def _check_relations(g: int) -> tuple[str, str]:
-    """Generator involutions, commutation, braid relation, Arf invariance,
-    quadratic refinement; exhaustive for g <= 3, sampled above.  All but the
-    last check the reducer's letter kernel, braid._act_letter, on packed rows."""
+    """Involutions, Arf invariance, commutation, braid relations, quadratic refinement;
+    exhaustive for g <= 3.  All but the last fold braid._act_letter over packed-key arrays."""
     rng = random.Random(0xC0FFEE + g)
     n = 1 << (2 * g)
     generators = range(1, 2 * g + 2)
@@ -370,31 +369,31 @@ def _check_relations(g: int) -> tuple[str, str]:
     else:
         keys, samples = [rng.randrange(n) for _ in range(256)], 512
         pairs = [rng.sample(generators, 2) for _ in range(64)]
+    keys = np.array(keys, dtype=np.uint32)
     relations = [((i, j), (j, i), f"{i},{j} do not commute") for i, j in pairs if abs(i - j) >= 2]
     relations += [
         ((i, i + 1, i), (i + 1, i, i + 1), f"braid relation fails at {i}")
         for i in range(1, 2 * g + 1)
     ]
     mask = (1 << g) - 1
-    rows = [(key & mask, key >> g) for key in keys]
-    for top, bottom in rows:
-        arf_row = (top & bottom).bit_count() & 1
-        for i in generators:
-            t, b = _act_letter(g, top, bottom, i)
-            if _act_letter(g, t, b, i) != (top, bottom):
-                return "FAIL", f"generator {i} not an involution"
-            if (t & b).bit_count() & 1 != arf_row:
-                return "FAIL", f"generator {i} changes Arf"
 
-    def act(row: tuple[int, int], word: tuple[int, ...]) -> tuple[int, int]:
+    def act(keys: np.ndarray, word: tuple[int, ...]) -> np.ndarray:
+        top, bottom = keys & mask, keys >> g
         for i in word:
-            row = _act_letter(g, *row, i)
-        return row
+            top, bottom = _act_letter(g, top, bottom, i)
+        return top | bottom << g
 
-    for row in rows[:64]:  # all of them when g <= 3
-        for left, right, failure in relations:
-            if act(row, left) != act(row, right):
-                return "FAIL", failure
+    invariant = arf_keys(g, keys)
+    for i in generators:
+        image = act(keys, (i,))
+        if not np.array_equal(act(image, (i,)), keys):
+            return "FAIL", f"generator {i} not an involution"
+        if not np.array_equal(arf_keys(g, image), invariant):
+            return "FAIL", f"generator {i} changes Arf"
+    head = keys[:64]  # all of them when g <= 3
+    for left, right, failure in relations:
+        if not np.array_equal(act(head, left), act(head, right)):
+            return "FAIL", failure
     for _ in range(samples):
         mk, xk, yk = (rng.randrange(n) for _ in range(3))
         matrix = SpinMatrix.from_key(g, mk)
@@ -404,7 +403,7 @@ def _check_relations(g: int) -> tuple[str, str]:
             evaluate(matrix, x) ^ evaluate(matrix, y) ^ intersection(x, y)
         ):
             return "FAIL", "quadratic refinement violated"
-    cases = len(rows) * len(generators) + len(rows[:64]) * len(relations) + samples
+    cases = keys.size * len(generators) + head.size * len(relations) + samples
     return "PASS", f"{cases} cases"
 
 

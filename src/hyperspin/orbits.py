@@ -87,7 +87,8 @@ def _humphries_keys(g: int) -> list[int]:
 
 
 def apply_generator_keys(g: int, i: int, keys: np.ndarray) -> np.ndarray:
-    """Vectorized generator action: the twist about generator_class(i, g)."""
+    """Vectorized generator action: the twist about generator_class(i, g).
+    No program caller; it stays only because perfbench/tracing.LAYERS wraps it."""
     gamma = generator_class(i, g)
     return twist_keys(g, gamma.a | gamma.b << g, keys)
 

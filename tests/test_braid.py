@@ -4,6 +4,7 @@ the points by the test helper ``points``."""
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,8 @@ from hyperspin import (
     format_word,
     generator_class,
 )
+from hyperspin.braid import _act_letter
+from hyperspin.orbits import _generator_keys, twist_keys
 from points import bubble_word, cycles, images_of_word
 
 
@@ -114,6 +117,26 @@ def test_action_agrees_with_twist_about_generator_class():
         for m in every_matrix(g):
             for i in range(1, 2 * g + 2):
                 assert apply_generator(m, i) == dehn_twist(m, generator_class(i, g))
+
+
+def test_act_letter_runs_on_row_arrays():
+    # every key for g <= 8, seeded keys at the largest verify genera
+    rng = random.Random(14)
+    cases = [(g, np.arange(1 << (2 * g), dtype=np.uint32)) for g in range(1, 9)]
+    cases += [
+        (g, np.array([rng.randrange(1 << (2 * g)) for _ in range(2000)], dtype=np.uint32))
+        for g in (12, 14)
+    ]
+    for g, keys in cases:
+        top, bottom = keys & ((1 << g) - 1), keys >> g
+        for i, gamma_key in enumerate(_generator_keys(g), 1):
+            t, b = _act_letter(g, top, bottom, i)
+            assert t.dtype == b.dtype == np.uint32, (g, i)
+            images = t | b << g
+            assert np.array_equal(images, twist_keys(g, gamma_key, keys)), (g, i)
+            # object arrays run the scalar kernel on each key's Python ints
+            t, b = _act_letter(g, top.astype(object), bottom.astype(object), i)
+            assert images.tolist() == (t | b << g).tolist(), (g, i)
 
 
 # ---------------------------------------------------------------------------

@@ -438,40 +438,71 @@ def _row_of(out, g, check):
     return line
 
 
+# (name in cli, patch, the relations row's detail at g = 3, at g = 4); the
+# row folds cli._act_letter over packed-key arrays
+_RELATION_BREAKS = [
+    (
+        "_act_letter",
+        lambda g, top, bottom, i: ((top + 1) % (1 << g), bottom),
+        "generator 1 not an involution",
+        "generator 1 not an involution",
+    ),
+    (
+        "_act_letter",
+        lambda g, top, bottom, i: (top ^ 1, bottom),
+        "generator 1 changes Arf",
+        "generator 1 changes Arf",
+    ),
+    # s_3 acting as s_2: still an involution that keeps the Arf
+    (
+        "_act_letter",
+        lambda g, top, bottom, i: braid._act_letter(g, top, bottom, 2 if i == 3 else i),
+        "1,3 do not commute",
+        "3,1 do not commute",
+    ),
+    # s_1 acting as the identity commutes with every letter
+    (
+        "_act_letter",
+        lambda g, top, bottom, i: (
+            (top, bottom) if i == 1 else braid._act_letter(g, top, bottom, i)
+        ),
+        "braid relation fails at 1",
+        "braid relation fails at 1",
+    ),
+    (
+        "intersection",
+        lambda x, y: 0,
+        "quadratic refinement violated",
+        "quadratic refinement violated",
+    ),
+    # every letter the identity but s_5 on key 137, which g = 3 lacks and g = 4
+    # first draws after its 64th key: the involution check reads all 256 keys,
+    # not only the 64 the relations use
+    (
+        "_act_letter",
+        lambda g, top, bottom, i: (top ^ (i == 5) * ((top | bottom << g) == 137), bottom),
+        None,
+        "generator 5 not an involution",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "name, patch, detail",
+    "name, patch, detail, g",
     [
-        # the relations row acts on packed rows through cli._act_letter
-        (
-            "_act_letter",
-            lambda g, top, bottom, i: ((top + 1) % (1 << g), bottom),
-            "generator 1 not an involution",
-        ),
-        ("_act_letter", lambda g, top, bottom, i: (top ^ 1, bottom), "generator 1 changes Arf"),
-        # s_3 acting as s_2: still an involution that keeps the Arf
-        (
-            "_act_letter",
-            lambda g, top, bottom, i: braid._act_letter(g, top, bottom, 2 if i == 3 else i),
-            "1,3 do not commute",
-        ),
-        # s_1 acting as the identity commutes with every letter
-        (
-            "_act_letter",
-            lambda g, top, bottom, i: (
-                (top, bottom) if i == 1 else braid._act_letter(g, top, bottom, i)
-            ),
-            "braid relation fails at 1",
-        ),
-        ("intersection", lambda x, y: 0, "quadratic refinement violated"),
+        (name, patch, detail, g)
+        for name, patch, *details in _RELATION_BREAKS
+        for g, detail in zip((3, 4), details)
+        if detail is not None
     ],
 )
 def test_verify_relations_names_the_first_broken_relation(
-    capsys, monkeypatch, name, patch, detail
+    capsys, monkeypatch, name, patch, detail, g
 ):
     monkeypatch.setattr(cli, name, patch)
-    code, out, _ = run(capsys, "verify", "3")
+    code, out, _ = run(capsys, "verify", str(g))
     assert code == EXIT_CHECK_FAILED
-    assert _row_of(out, 3, "relations") == f"3\trelations\tFAIL\t{detail}"
+    assert _row_of(out, g, "relations") == f"{g}\trelations\tFAIL\t{detail}"
 
 
 def test_verify_golden_traces_names_the_first_mismatch(capsys, monkeypatch):
