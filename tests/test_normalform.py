@@ -354,12 +354,27 @@ def test_class_table_equals_class_index_at_every_key(g):
     assert list(table) == [class_index(m) for m in every_matrix(g)]
 
 
+@pytest.mark.parametrize(
+    "g, digest",
+    [
+        (8, "c075a2afbfe986141cb71b8c7c33057ebce61ec05d7c1a03a46c11d9f462ed88"),
+        (9, "c6b1cc4c927a71adf75e96e15155eb48d610c225f192edf123336f63ab4f8bf1"),
+    ],
+)
+def test_class_table_bytes_are_pinned(g, digest):
+    # the class of every key, however its passes are batched
+    table = normalform.class_table(g)
+    assert type(table) is bytearray and len(table) == 1 << (2 * g)
+    assert hashlib.sha256(table).hexdigest() == digest
+
+
 def test_class_table_steps_each_key_at_most_once(monkeypatch):
-    # exactly once, in fact, for every key but the canonical forms
+    # exactly once, in fact, for every key but the canonical forms: keys
+    # with a (0,1) column in the array step, the others in scalar passes
     g = 6
     expected = bytes(class_index(m) for m in every_matrix(g))
-    one_pass = normalform._pass
-    stepped = []
+    one_pass, array_step = normalform._pass, normalform._clear_bottom_rows
+    stepped, moved = [], []
 
     def counted(g, top, bottom, steps):
         rows = one_pass(g, top, bottom, steps)
@@ -367,10 +382,21 @@ def test_class_table_steps_each_key_at_most_once(monkeypatch):
             stepped.append(top | bottom << g)
         return rows
 
+    def recorded(g):
+        top, bottom, lone = array_step(g)
+        keys = np.arange(1 << (2 * g)).reshape(top.shape)
+        moved.extend(np.flatnonzero((top | bottom.astype(np.int64) << g) != keys).tolist())
+        return top, bottom, lone
+
     monkeypatch.setattr(normalform, "_pass", counted)
+    monkeypatch.setattr(normalform, "_clear_bottom_rows", recorded)
     assert normalform.class_table(g) == expected
+    mask = (1 << g) - 1
+    within = [key for key in range(1 << (2 * g)) if not key >> g & ~key & mask]
     canonical = {canonical_form(g, m).key() for m in range((g + 1) // 2 + 1)}
-    assert sorted(stepped) == [key for key in range(1 << (2 * g)) if key not in canonical]
+    assert stepped == [key for key in within if key not in canonical]
+    assert moved == [key for key in range(1 << (2 * g)) if key >> g & ~key & mask]
+    assert not set(stepped) & set(moved)
 
 
 @pytest.mark.parametrize("g", [3, 4, 5, 6, 7])
@@ -456,6 +482,36 @@ def test_class_table_raises_on_a_faulty_action(monkeypatch):
     )
     with pytest.raises(SelfCheckError):
         normalform.class_table(5)
+
+
+@pytest.mark.parametrize(
+    "g, left", [(3, "000/010, not 000/000"), (5, "00000/01000, not 00000/00000")]
+)
+def test_class_table_names_the_least_key_a_faulty_clear_bottom_letter_leaves(
+    monkeypatch, g, left
+):
+    # s_4 acts as the identity: the least key with column 2 at (0,1) keeps it
+    act = normalform._act_letter
+    monkeypatch.setattr(
+        normalform, "_act_letter",
+        lambda g, top, bottom, i: (top, bottom) if i == 4 else act(g, top, bottom, i),
+    )
+    with pytest.raises(SelfCheckError, match=f"^clear-bottom-columns 4 left {left}$"):
+        normalform.class_table(g)
+
+
+def test_class_table_raises_on_a_scalar_pass_that_leaves_a_lone_bottom(monkeypatch):
+    # a pass from a key whose bottom row lies within its top row must land on
+    # another such key, or the gather would read a class not yet in the table
+    one_pass = normalform._pass
+
+    def stray(g, top, bottom, steps):
+        rows = one_pass(g, top, bottom, steps)
+        return rows if rows is None or top | bottom << g < 19 else (0, 1)
+
+    monkeypatch.setattr(normalform, "_pass", stray)
+    with pytest.raises(SelfCheckError, match="^a pass from key 19 left .0,1. columns: 0000/1000$"):
+        normalform.class_table(4)
 
 
 def _column_kinds(top, bottom):
