@@ -67,10 +67,11 @@ left.  reduce_to_canonical (and class_index) repeat passes until none
 applies.  class_table steps every key but the canonical forms exactly
 once, every step under its guards, and takes the class of the lower key
 it lands on.  The 4^g - 3^g keys with a (0,1) column take
-clear-bottom-columns together, one letter at a time over the rows of all
-keys; the 3^g keys whose bottom row lies within the top row take one
-scalar _pass each, in increasing key order, and land on lower keys of
-that kind.  The one clear-bottom word (_clear_bottom_word) serves both.
+clear-bottom-columns together, one letter of _plan's word at a time over
+the rows of all keys; its exact post-state makes each land on a lower
+key, and _pass reports a failure.  The 3^g keys whose bottom row lies
+within the top row take one scalar _pass each, in increasing key order,
+and land on lower keys of that kind.
 
 Trace serialization (one step per line): ``<moveName> <word> -> <matrix>``.
 """
@@ -78,7 +79,6 @@ Trace serialization (one step per line): ``<moveName> <word> -> <matrix>``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -213,17 +213,6 @@ def _rightmost_equal_pair(top: int, bottom: int) -> tuple[int, int] | None:
     return None
 
 
-def _clear_bottom_word(lone: int) -> Iterator[tuple[int, int]]:
-    """The clear-bottom-columns word of the (0,1) columns set in lone.
-
-    Yields (column bit, letter) pairs: letter 2k for column k, in increasing k.
-    """
-    while lone:
-        low = lone & -lone
-        yield low, 2 * low.bit_length()
-        lone ^= low
-
-
 def _plan(g: int, top: int, bottom: int) -> list[tuple] | None:
     """The one pass that fits the rows, as steps (name, word, lo, hi, t, b).
 
@@ -235,7 +224,10 @@ def _plan(g: int, top: int, bottom: int) -> list[tuple] | None:
     """
     lone = bottom & ~top
     if lone:
-        word = [i for _, i in _clear_bottom_word(lone)]
+        word = []  # letter 2k for each (0,1) column k, in increasing k
+        while lone:
+            word.append(2 * (low := lone & -lone).bit_length())
+            lone ^= low
         return [("clear-bottom-columns", word, 1, g, top, top & bottom)]
     # now bottom lies within top: the nonzero columns are top's set bits
     if (pair := _rightmost_equal_pair(top, bottom)) is not None:
@@ -266,15 +258,6 @@ def _plan(g: int, top: int, bottom: int) -> list[tuple] | None:
     return [("pack-top-column", range(2 * s - 1, 2 * t, -2), t, s, 1, 0)]
 
 
-def _step_error(
-    g: int, name: str, word: Iterable[int], rows: tuple[int, int], want: Sequence[int]
-) -> SelfCheckError:
-    """The SelfCheckError of a step that left rows, not the rows want."""
-    return SelfCheckError(
-        f"{name} {format_word(word)} left {SpinMatrix(g, *rows)}, not {SpinMatrix(g, *want)}"
-    )
-
-
 def _pass(
     g: int, top: int, bottom: int, steps: list[ReductionStep] | None
 ) -> tuple[int, int] | None:
@@ -292,7 +275,10 @@ def _pass(
         for i in word:
             top, bottom = _act_letter(g, top, bottom, i)
         if (top, bottom) != want:
-            raise _step_error(g, name, word, (top, bottom), want)
+            raise SelfCheckError(
+                f"{name} {format_word(word)} left {SpinMatrix(g, top, bottom)}, "
+                f"not {SpinMatrix(g, *want)}"
+            )
         if steps is not None:
             steps.append(ReductionStep(name, tuple(word), SpinMatrix(g, top, bottom)))
     return top, bottom
@@ -348,51 +334,45 @@ def _clear_bottom_rows(g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (top, bottom, lone) arrays.  Entry [b, t] belongs to the key
     t | b << g, so they flatten in key order; the rows' dtype is the least
     unsigned one that holds g bits, and lone marks the keys with a (0,1)
-    column.  Each letter of the word of all g columns acts, in place, on
-    the rows whose column is (0,1) at that letter, so every key gets its own
-    word and a key without a (0,1) column keeps its rows.  Every key must
-    then read (top, top & bottom), and every key with a (0,1) column must
-    have reached a lower key; the least key that does not raises _pass's or
-    _lower_key's SelfCheckError.
+    column.  Each letter of _plan's word for the all-(0,1) key acts, in
+    place, on the rows whose column is (0,1) at that letter, so every key
+    gets its own word and a key without a (0,1) column keeps its rows.
+    Every key must then read (top, top & bottom), which lowers each key
+    with a (0,1) column.  At the least key that does not, _pass raises its
+    SelfCheckError, or else one says the array and scalar steps disagree.
     """
     mask = (1 << g) - 1
     columns = np.arange(1 << g, dtype=np.min_scalar_type(mask))
     top0, bottom0 = np.broadcast_arrays(columns, columns[:, None])
     top, bottom = top0.copy(), bottom0.copy()
-    for bit, i in _clear_bottom_word(mask):
-        on = (bottom & ~top & bit) != 0
+    [(_, word, *_)] = _plan(g, 0, mask)
+    for k, i in enumerate(word):
+        on = (bottom & ~top & 1 << k) != 0
         for row, acted in zip((top, bottom), _act_letter(g, top, bottom, i)):
             np.copyto(row, acted, where=on)
     wrong = (top != top0) | (bottom != top0 & bottom0)
     if wrong.any():
         key = int(wrong.argmax())
-        name, word, _, _, *want = _plan(g, key & mask, key >> g)[0]
-        raise _step_error(g, name, word, (int(top.flat[key]), int(bottom.flat[key])), want)
-    # keys order by (bottom, top): bottom holds the high bits
-    below = (bottom < bottom0) | (bottom == bottom0) & (top < top0)
-    lone = bottom0 & ~top0 != 0
-    climbed = lone & ~below
-    if climbed.any():
-        key = int(climbed.argmax())
-        _lower_key(g, key, (int(top.flat[key]), int(bottom.flat[key])))
-    return top, bottom, lone
+        _pass(g, key & mask, key >> g, None)
+        raise SelfCheckError(f"the array and scalar clear-bottom steps disagree at key {key}")
+    return top, bottom, bottom0 & ~top0 != 0
 
 
 def class_table(g: int) -> bytearray:
     """The class index of every packed key 0..4^g-1, one byte each.
 
-    Each key but the canonical forms takes exactly one pass.  The
-    4^g - 3^g keys with a (0,1) column take clear-bottom-columns together,
-    in _clear_bottom_rows, and land on lower keys whose bottom row lies
-    within the top row.  Those 3^g keys take one scalar pass each, in
-    increasing key order.  Such a pass lands on a lower key of the same
-    kind, already in the table, and _pass reads nothing but the rows, so
-    the reduction from this key goes on as the one from that key and this
-    key gets that key's class.  A key no pass applies to gets its class
-    from the end-state check.  The keys with a (0,1) column then read the
-    class of the key they landed on, in one gather.  A pass that does not
-    lower the key, or a scalar pass that leaves a (0,1) column, raises
-    SelfCheckError.
+    Each key but the canonical forms takes exactly one pass.  The 4^g - 3^g
+    keys with a (0,1) column take clear-bottom-columns together in
+    _clear_bottom_rows, with _plan's word and _pass's failure message; its
+    exact post-state lands them on lower keys whose bottom row lies within
+    the top row.  Those 3^g keys take one scalar pass each, in increasing
+    key order.  Such a pass lands on a lower key of the same kind, already
+    in the table, and _pass reads nothing but the rows, so the reduction
+    from this key goes on as the one from that key and this key gets that
+    key's class.  A key no pass applies to gets its class from the end-state
+    check.  The keys with a (0,1) column then read the class of the key they
+    landed on, in one gather.  A pass that does not lower the key, or a
+    scalar pass that leaves a (0,1) column, raises SelfCheckError.
     """
     if g < 3:
         raise ValueError(f"reduction needs genus >= 3, got {g}")

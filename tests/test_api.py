@@ -1,5 +1,6 @@
 """The exported names: a pinned list, each of which resolves."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -81,3 +82,20 @@ def test_benchmark_tracer_names_resolve():
         module = importlib.import_module(f"hyperspin.{module_name}")
         for name in functions:
             assert callable(getattr(module, name, None)), (layer, name)
+
+
+def test_every_imported_name_is_used():
+    # the project runs no linter; an import left behind by a deleted helper
+    # fails here.  __init__.py imports names to re-export them
+    for path in sorted(Path(hyperspin.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                imported.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not imported - used, (path.name, sorted(imported - used))

@@ -1,5 +1,6 @@
 """Canonical forms and the traced reduction."""
 
+import functools
 import hashlib
 import random
 
@@ -484,20 +485,52 @@ def test_class_table_raises_on_a_faulty_action(monkeypatch):
         normalform.class_table(5)
 
 
+def _identity_s4(act, g, top, bottom, i):
+    return (top, bottom) if i == 4 else act(g, top, bottom, i)
+
+
+def _raising_s4(act, g, top, bottom, i):
+    # where s_4 clears bottom bit 2 it sets top bit 2 instead: (0,1) -> (1,1)
+    t, b = act(g, top, bottom, i)
+    cleared = bottom & ~b & 2 if i == 4 else 0
+    return t | cleared, b | cleared
+
+
 @pytest.mark.parametrize(
-    "g, left", [(3, "000/010, not 000/000"), (5, "00000/01000, not 00000/00000")]
+    "fault, g, left",
+    [
+        pytest.param(fault, g, left, id=f"{g}-{left}")
+        for fault, g, left in [
+            (_identity_s4, 3, "000/010, not 000/000"),
+            (_identity_s4, 5, "00000/01000, not 00000/00000"),
+            (_raising_s4, 3, "010/010, not 000/000"),
+            (_raising_s4, 5, "01000/01000, not 00000/00000"),
+        ]
+    ],
 )
 def test_class_table_names_the_least_key_a_faulty_clear_bottom_letter_leaves(
-    monkeypatch, g, left
+    monkeypatch, fault, g, left
 ):
-    # s_4 acts as the identity: the least key with column 2 at (0,1) keeps it
-    act = normalform._act_letter
-    monkeypatch.setattr(
-        normalform, "_act_letter",
-        lambda g, top, bottom, i: (top, bottom) if i == 4 else act(g, top, bottom, i),
-    )
+    # the least key with column 2 at (0,1) keeps it, or goes to (1,1), a
+    # higher key: the exact post-state catches both, with the scalar message
+    monkeypatch.setattr(normalform, "_act_letter", functools.partial(fault, normalform._act_letter))
     with pytest.raises(SelfCheckError, match=f"^clear-bottom-columns 4 left {left}$"):
         normalform.class_table(g)
+
+
+def test_class_table_raises_when_the_array_and_scalar_steps_disagree(monkeypatch):
+    # s_4 is the identity on row arrays only, so the scalar pass of the least
+    # failing key succeeds and the array step must raise on its own
+    act = normalform._act_letter
+
+    def array_fault(g, top, bottom, i):
+        return (top, bottom) if i == 4 and isinstance(top, np.ndarray) else act(g, top, bottom, i)
+
+    monkeypatch.setattr(normalform, "_act_letter", array_fault)
+    with pytest.raises(
+        SelfCheckError, match="^the array and scalar clear-bottom steps disagree at key 16$"
+    ):
+        normalform.class_table(3)
 
 
 def test_class_table_raises_on_a_scalar_pass_that_leaves_a_lone_bottom(monkeypatch):
