@@ -48,11 +48,11 @@ Each move states its window's exact columns afterwards; the rest stay:
                         range(2t+2, 2s+2, 2)
   pack-top-column       range(2s-1, 2t, -2)             t..s    (1,0) (0,0) ...
 
-A step that leaves any other matrix, a pass that does not lower the packed
-key top | bottom << g, an end state other than canonical_form(g, m)
-(survivors that do not alternate pack to some other matrix) and, when
-recording, a trace word that does not replay to it all raise
-SelfCheckError.
+A step that leaves any other matrix, a pass that leaves a (0,1) column or
+does not lower the packed key top | bottom << g, an end state other than
+canonical_form(g, m) (survivors that do not alternate pack to some other
+matrix) and, when recording, a trace word that does not replay to it all
+raise SelfCheckError.
 
 Passes.  _plan reads the one pass that fits the current rows as a list
 of steps, each a word and the window it must leave, and _pass applies
@@ -60,18 +60,19 @@ them under their guards.  The pass is clear-bottom-columns while a (0,1)
 column is left, else one loop pass (align, cancel and clear together),
 else drop-top-left or drop-top-right, else one pack move; _plan returns
 None when none applies, and _end_class then checks the end state.  Every
-pass lowers the key: clear-bottom-columns clears bottom bits, a loop pass
-zeroes its window and leaves the other columns alone, a drop clears one
-top bit, and a pack move shifts one column's bits to a column further
-left.  reduce_to_canonical (and class_index) repeat passes until none
-applies.  class_table steps every key but the canonical forms exactly
-once, every step under its guards, and takes the class of the lower key
-it lands on.  The 4^g - 3^g keys with a (0,1) column take
-clear-bottom-columns together, one letter of _plan's word at a time over
-the rows of all keys; its exact post-state makes each land on a lower
-key, and _pass reports a failure.  The 3^g keys whose bottom row lies
-within the top row take one scalar _pass each, in increasing key order,
-and land on lower keys of that kind.
+pass leaves no (0,1) column and lowers the key: clear-bottom-columns
+clears bottom bits, a loop pass zeroes its window and leaves the other
+columns alone, a drop clears one top bit, and a pack move shifts one
+column's bits to a column further left.  _pass checks both where the pass
+lands, and its callers rely on that.  reduce_to_canonical (and
+class_index) repeat passes until none applies.  class_table steps every
+key but the canonical forms exactly once, every step under its guards,
+and takes the class of the lower key it lands on.  The 4^g - 3^g keys
+with a (0,1) column take clear-bottom-columns together, one letter of
+_plan's word at a time over the rows of all keys; its exact post-state
+makes each land on a lower key, and _pass reports a failure.  The 3^g
+keys whose bottom row lies within the top row take one scalar _pass
+each, in increasing key order, and land on lower keys of that kind.
 
 Trace serialization (one step per line): ``<moveName> <word> -> <matrix>``.
 """
@@ -263,12 +264,14 @@ def _pass(
 ) -> tuple[int, int] | None:
     """Apply the steps of _plan(g, top, bottom) under their guards; return the rows.
 
-    Each step must leave exactly the rows it states.  None means no pass
-    applies.  Steps are appended to steps unless it is None.
+    Each step must leave exactly the rows it states, and the pass must land
+    on a lower key with no (0,1) column, as the callers rely on.  None means
+    no pass applies; steps are appended to steps unless it is None.
     """
     plan = _plan(g, top, bottom)
     if plan is None:
         return None
+    key = top | bottom << g
     for name, word, lo, hi, t, b in plan:
         keep = ~((1 << hi) - (1 << lo - 1))
         want = (top & keep) | t << lo - 1, (bottom & keep) | b << lo - 1
@@ -281,15 +284,12 @@ def _pass(
             )
         if steps is not None:
             steps.append(ReductionStep(name, tuple(word), SpinMatrix(g, top, bottom)))
-    return top, bottom
-
-
-def _lower_key(g: int, key: int, rows: tuple[int, int]) -> int:
-    """The packed key of the rows a pass from key reached; it must be lower."""
-    lower = rows[0] | rows[1] << g
-    if lower >= key:
+    if bottom & ~top:
+        left = SpinMatrix(g, top, bottom)
+        raise SelfCheckError(f"a pass from key {key} left (0,1) columns: {left}")
+    if (lower := top | bottom << g) >= key:
         raise SelfCheckError(f"a pass from key {key} reached key {lower}, not a lower one")
-    return lower
+    return top, bottom
 
 
 def _end_class(g: int, top: int, bottom: int) -> int:
@@ -307,8 +307,8 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
     Replaying the returned word on the input yields canonical_form(g, m)
     where m is the reported class index: the end state is compared with
     that form once, after packing, and any other end state raises
-    SelfCheckError, as does any other failed guard.  Already-canonical
-    inputs return an empty trace.
+    SelfCheckError, as does a failed guard of _pass, which also makes each
+    pass lower the key.  Already-canonical inputs return an empty trace.
 
     >>> trace = reduce_to_canonical(SpinMatrix.from_text("11111/10111"))
     >>> trace.class_index, trace.total_word
@@ -318,9 +318,8 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
     if g < 3:
         raise ValueError(f"reduction needs genus >= 3, got {g}")
     steps: list[ReductionStep] | None = [] if record else None
-    top, bottom, key = matrix.top, matrix.bottom, matrix.key()
+    top, bottom = matrix.top, matrix.bottom
     while (rows := _pass(g, top, bottom, steps)) is not None:
-        key = _lower_key(g, key, rows)
         top, bottom = rows
     trace = ReductionTrace(matrix, tuple(steps or ()), _end_class(g, top, bottom))
     if record and apply_word(matrix, trace.total_word) != trace.result:
@@ -366,13 +365,12 @@ def class_table(g: int) -> bytearray:
     _clear_bottom_rows, with _plan's word and _pass's failure message; its
     exact post-state lands them on lower keys whose bottom row lies within
     the top row.  Those 3^g keys take one scalar pass each, in increasing
-    key order.  Such a pass lands on a lower key of the same kind, already
-    in the table, and _pass reads nothing but the rows, so the reduction
-    from this key goes on as the one from that key and this key gets that
-    key's class.  A key no pass applies to gets its class from the end-state
-    check.  The keys with a (0,1) column then read the class of the key they
-    landed on, in one gather.  A pass that does not lower the key, or a
-    scalar pass that leaves a (0,1) column, raises SelfCheckError.
+    key order.  _pass checks that such a pass lands on a lower key of the
+    same kind, already in the table, and it reads nothing but the rows, so
+    the reduction from this key goes on as the one from that key and this
+    key gets that key's class.  A key no pass applies to gets its class from
+    the end-state check.  The keys with a (0,1) column then read the class
+    of the key they landed on, in one gather.
     """
     if g < 3:
         raise ValueError(f"reduction needs genus >= 3, got {g}")
@@ -381,12 +379,7 @@ def class_table(g: int) -> bytearray:
     mask = (1 << g) - 1
     for key in np.flatnonzero(~lone).tolist():
         rows = _pass(g, key & mask, key >> g, None)
-        if rows is None:
-            table[key] = _end_class(g, key & mask, key >> g)
-        elif rows[1] & ~rows[0]:
-            raise SelfCheckError(f"a pass from key {key} left (0,1) columns: {SpinMatrix(g, *rows)}")
-        else:
-            table[key] = table[_lower_key(g, key, rows)]
+        table[key] = table[rows[0] | rows[1] << g] if rows else _end_class(g, key & mask, key >> g)
     classes = np.frombuffer(table, dtype=np.uint8).reshape(top.shape)
     classes[...] = classes[bottom, top]
     return table

@@ -44,6 +44,7 @@ from .normalform import SelfCheckError, canonical_form, stabilizer_form
 MAX_ENUMERATION_GENUS = 12
 MAX_SP_GENUS = 6
 _KEY_BLOCK = 1 << 20  # keys per block in the passes over all keys
+_LOW_HALVES = [np.uint64(sum(1 << b for b in range(64) if not b >> j & 1)) for j in range(6)]
 
 
 def _check_enumeration_genus(g: int) -> None:
@@ -154,8 +155,7 @@ def _twist_plan(g: int, gamma_key: int):
             dst[axis[b]] = src[axis[b]] = slice(value, value + 1)
         if keep:
             moves.append((tuple(dst), (*src, slice(None)), np.uint64(keep)))
-    low_halves = [sum(1 << b for b in range(64) if not b >> j & 1) for j in range(6)]
-    swaps = [(np.uint64(1 << j), np.uint64(low_halves[j])) for j in range(6) if delta >> j & 1]
+    swaps = [(np.uint64(1 << j), _LOW_HALVES[j]) for j in range(6) if delta >> j & 1]
     return moves, swaps
 
 

@@ -99,3 +99,28 @@ def test_every_imported_name_is_used():
                 imported.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert not imported - used, (path.name, sorted(imported - used))
+
+
+def test_every_module_level_definition_is_used():
+    # a helper whose last caller was deleted fails here.  The exported names
+    # are used from outside; apply_generator_keys only by the benchmark tracer
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(Path(hyperspin.__file__).parent.glob("*.py"))
+    }
+    used = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    exempt = {*hyperspin.__all__, "apply_generator_keys"}
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        defined = {
+            node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        assert not defined - used - exempt, (name, sorted(defined - used - exempt))

@@ -435,34 +435,43 @@ def test_clear_bottom_pass_flips_each_lone_bottom_column_in_ascending_order(g):
         ], str(matrix)
 
 
-def _rising_pass(monkeypatch):
-    """Make the first pass that applies land on the all-ones rows, the top key.
+def _faulty_plan(letter, target):
+    """_plan, but where column 1 is (0,0) and a pass applies, one step of
+    s_letter that takes column 1 to target: the step's exact post-state
+    holds, so only _pass's landing checks can catch it."""
+    plan = normalform._plan
 
-    Only the first, so that a caller without the descent guard ends.
-    """
-    one_pass = normalform._pass
-    rose = []
+    def faulty(g, top, bottom):
+        steps = plan(g, top, bottom)
+        if steps is None or (top | bottom) & 1:
+            return steps
+        return [("fault", (letter,), 1, 1, *target)]
 
-    def rising(g, top, bottom, steps):
-        rows = one_pass(g, top, bottom, steps)
-        if rows is None or rose:
-            return rows
-        rose.append(rows)
-        return (1 << g) - 1, (1 << g) - 1
-
-    monkeypatch.setattr(normalform, "_pass", rising)
+    return faulty
 
 
-def test_class_table_raises_on_a_pass_that_does_not_lower_the_key(monkeypatch):
-    _rising_pass(monkeypatch)
-    with pytest.raises(SelfCheckError, match="not a lower one"):
-        normalform.class_table(4)
-
-
-def test_reduce_raises_on_a_pass_that_does_not_lower_the_key(monkeypatch):
-    _rising_pass(monkeypatch)
-    with pytest.raises(SelfCheckError, match="not a lower one"):
-        reduce_to_canonical(SpinMatrix.from_text("11111/10111"))
+@pytest.mark.parametrize(
+    "letter, target, run, message",
+    [
+        # (0,0) -> (1,0) raises the key by one
+        (1, (1, 0), lambda: normalform.class_table(4),
+         "a pass from key 2 reached key 3, not a lower one"),
+        (1, (1, 0), lambda: reduce_to_canonical(SpinMatrix.from_text("0111/0101")),
+         "a pass from key 174 reached key 175, not a lower one"),
+        # (0,0) -> (0,1) raises the key too, but the (0,1) column is named
+        # first: the class table's gather needs keys without one
+        (2, (0, 1), lambda: normalform.class_table(4),
+         "a pass from key 2 left .0,1. columns: 0100/1000"),
+        (2, (0, 1), lambda: reduce_to_canonical(SpinMatrix.from_text("0111/0101")),
+         "a pass from key 174 left .0,1. columns: 0111/1101"),
+    ],
+    ids=["rising-class-table", "rising-reduce", "lone-bottom-class-table", "lone-bottom-reduce"],
+)
+def test_pass_checks_where_each_planned_pass_lands(monkeypatch, letter, target, run, message):
+    # a pass whose steps hold can break the landing only through its plan
+    monkeypatch.setattr(normalform, "_plan", _faulty_plan(letter, target))
+    with pytest.raises(SelfCheckError, match=f"^{message}$"):
+        run()
 
 
 def test_reduce_raises_when_the_trace_word_does_not_replay(monkeypatch):
@@ -531,20 +540,6 @@ def test_class_table_raises_when_the_array_and_scalar_steps_disagree(monkeypatch
         SelfCheckError, match="^the array and scalar clear-bottom steps disagree at key 16$"
     ):
         normalform.class_table(3)
-
-
-def test_class_table_raises_on_a_scalar_pass_that_leaves_a_lone_bottom(monkeypatch):
-    # a pass from a key whose bottom row lies within its top row must land on
-    # another such key, or the gather would read a class not yet in the table
-    one_pass = normalform._pass
-
-    def stray(g, top, bottom, steps):
-        rows = one_pass(g, top, bottom, steps)
-        return rows if rows is None or top | bottom << g < 19 else (0, 1)
-
-    monkeypatch.setattr(normalform, "_pass", stray)
-    with pytest.raises(SelfCheckError, match="^a pass from key 19 left .0,1. columns: 0000/1000$"):
-        normalform.class_table(4)
 
 
 def _column_kinds(top, bottom):
