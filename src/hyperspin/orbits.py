@@ -10,7 +10,8 @@ transvection orbits are closed the same way, under the twists about the
 2g+1 Humphries curves: these generate the mapping class group (Humphries
 1979; Farb and Margalit, A Primer on Mapping Class Groups, Sec. 4.4),
 which maps onto Sp(2g, Z/2) (Primer, Thm 6.4), so they have the orbits of
-all transvections.
+all transvections.  Every bitset, the closure's and fixed_matrices', has
+one layout (_bitset) and one reader of its set keys (_set_keys).
 
 Determinism: orbits are seeded in increasing key order and labelled by
 their minimum packed key, so the partition, census and all derived tables
@@ -23,10 +24,10 @@ used for them.
 Memory: a partition is a uint8 map of orbit ordinals, 16 MB at g = 12;
 4-byte minimum-key labels are derived only when asked for.  The closure
 adds a 2 MB bitset, a 2 MB snapshot of it taken before each sweep, and a
-sweep's temporaries, about 4 MB at g = 12; a level's images stay below
-1 MB, since a level twists fewer than 2^(2g-11) keys.  The passes over all
-keys walk them in blocks of 2^20 keys, so `verify 9..12` peaks at about
-60 MB.
+sweep's temporaries, about 4 MB at g = 12; a level twists fewer than
+2^(2g-11) keys, so its images and their words stay below 1 and 2 MB.  The
+passes over all keys walk them in blocks of 2^20 keys, so `verify 9..12`
+peaks at about 60 MB.
 """
 
 from __future__ import annotations
@@ -47,12 +48,9 @@ _KEY_BLOCK = 1 << 20  # keys per block in the passes over all keys
 _LOW_HALVES = [np.uint64(sum(1 << b for b in range(64) if not b >> j & 1)) for j in range(6)]
 
 
-def _check_enumeration_genus(g: int) -> None:
-    if not 1 <= g <= MAX_ENUMERATION_GENUS:
-        raise ValueError(
-            f"enumeration supports 1 <= g <= {MAX_ENUMERATION_GENUS} "
-            f"(2^(2g) states); got g = {g}"
-        )
+def _check_enumeration_genus(g: int, top: int = MAX_ENUMERATION_GENUS) -> None:
+    if not 1 <= g <= top:
+        raise ValueError(f"enumeration supports 1 <= g <= {top} (2^(2g) states); got g = {g}")
 
 
 def twist_keys(g: int, gamma_key: int | np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -124,8 +122,16 @@ def first_disagreement(partition: OrbitPartition, values) -> int | None:
 
 
 def _bitset(g: int) -> np.ndarray:
-    """Zeroed little-endian words, key k at bit k & 63 of word k >> 6, shaped for _twist_plan."""
+    """Zeroed little-endian words, key k at bit k & 63 of word k >> 6, shaped for _twist_plan.
+    The one bitset layout: every write, test and read of a key addresses it."""
     return np.zeros((2,) * max(2 * g - 6, 0) + (1,), dtype="<u8")
+
+
+def _set_keys(words: np.ndarray) -> np.ndarray:
+    """The keys set in a _bitset's words, ascending, as uint32."""
+    at = np.flatnonzero(words)  # the words that hold keys
+    pos = np.flatnonzero(np.unpackbits(words[at].view(np.uint8), bitorder="little"))
+    return (at[pos >> 6] << 6 | pos & 63).astype(np.uint32)
 
 
 def _twist_plan(g: int, gamma_key: int):
@@ -195,7 +201,7 @@ def _closure_partition(g: int, classes) -> tuple[np.ndarray, dict[int, int]]:
     tau moves, through the classes and back.  Each tau acts on a superset
     of the S the sweep started from, so every key of that S now has all its
     twists in S, and the frontier is the keys the sweep added, read off a
-    snapshot of S.  Fewer than n >> 11 of them go back to levels.
+    snapshot of S by _set_keys; fewer than n >> 11 of them go back to levels.
 
     Every orbit's ordinal is then OR-ed into the map in key blocks.
     """
@@ -207,7 +213,6 @@ def _closure_partition(g: int, classes) -> tuple[np.ndarray, dict[int, int]]:
     ordinals = np.zeros(n, dtype=np.uint8)
     bits = _bitset(g)
     words = bits.reshape(-1)
-    octets = words.view(np.uint8)  # key k is bit k & 7 of octet k >> 3
     before = np.empty_like(words)  # S before a sweep
     sizes: dict[int, int] = {}
     seed = 0
@@ -220,13 +225,16 @@ def _closure_partition(g: int, classes) -> tuple[np.ndarray, dict[int, int]]:
         if ordinal > 255:  # the largest uint8 ordinal
             raise SelfCheckError("more than 255 orbits")
         words[:] = 0
-        octets[seed >> 3] = 1 << (seed & 7)
+        words[seed >> 6] = 1 << (seed & 63)
         frontier = np.array([seed], dtype=np.uint32)
         size = added = 1
         while added:
             if added < small:
                 fresh = twist_keys(g, gammas, frontier[:, None]).ravel()
-                fresh = fresh[octets[fresh >> 3] >> (fresh & 7) & 1 == 0]  # frees the images
+                seen = words[fresh >> 6]  # shifted in place and freed before the sort
+                seen >>= fresh & 63
+                fresh = fresh[seen & 1 == 0]  # frees the images
+                del seen
                 fresh.sort()
                 first = np.ones(fresh.size, dtype=bool)  # drop repeats
                 np.not_equal(fresh[1:], fresh[:-1], out=first[1:])
@@ -240,11 +248,7 @@ def _closure_partition(g: int, classes) -> tuple[np.ndarray, dict[int, int]]:
                 before ^= words  # the keys the sweep added
                 added = int(np.bitwise_count(before).sum())
                 if added < small:
-                    at = np.flatnonzero(before)  # the words that gained keys
-                    pos = np.flatnonzero(
-                        np.unpackbits(before[at].view(np.uint8), bitorder="little")
-                    )
-                    frontier = (at[pos >> 6] << 6 | pos & 63).astype(np.uint32)
+                    frontier = _set_keys(before)
             size += added
         for start in range(0, n, _KEY_BLOCK):
             block = words[start >> 6 : (start + _KEY_BLOCK) >> 6]
@@ -426,10 +430,7 @@ def sp_transvection_orbits(g: int) -> OrbitPartition:
     constant Arf and sizes 2^(g-1) (2^g + 1) and 2^(g-1) (2^g - 1);
     anything else raises SelfCheckError.
     """
-    if not 1 <= g <= MAX_SP_GENUS:
-        raise ValueError(
-            f"transvection enumeration supports 1 <= g <= {MAX_SP_GENUS}; got {g}"
-        )
+    _check_enumeration_genus(g, MAX_SP_GENUS)
     partition = OrbitPartition(g, *_closure_partition(g, _humphries_keys(g)))
     sizes = partition.sizes()
     if len(sizes) != 2:
@@ -459,6 +460,4 @@ def fixed_matrices(g: int) -> tuple[SpinMatrix, ...]:
         for dst, _, keep in _twist_plan(g, gamma_key)[0]:
             view = bits[dst]
             view &= ~keep
-    hits = np.flatnonzero(words).tolist()
-    keys = [w << 6 | b for w in hits for b in range(64) if int(words[w]) >> b & 1]
-    return tuple(SpinMatrix.from_key(g, key) for key in keys)
+    return tuple(SpinMatrix.from_key(g, key) for key in _set_keys(words).tolist())

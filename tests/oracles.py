@@ -1,6 +1,6 @@
-"""A breadth-first orbit partition over key arrays, the tests' oracle.
+"""The tests' oracles: a breadth-first orbit partition and a branch-subset classifier.
 
-It shares no code with the bitset sweeps of the closure behind
+bfs_partition shares no code with the bitset sweeps of the closure behind
 enumerate_orbits and sp_transvection_orbits, which compile each class into
 a _twist_plan.  It does share twist_keys with the closure's levels, which
 twist every frontier of fewer than n >> 11 keys through it, at an orbit's
@@ -8,6 +8,12 @@ start and after a sweep hands back the few keys it added; this oracle
 calls it one class at a time, a level for all classes at once.  So its
 independence rests on twist_keys, which tests/test_orbits.py checks
 against gf2.dehn_twist, the scalar reference.
+
+weierstrass_subset and weierstrass_class share no code with the program:
+they use nothing imported from hyperspin (tests/test_api.py checks this).
+On a hyperelliptic curve the spin structures are the subsets T of the
+2g+2 branch points with |T| = g+1 (mod 2), up to complement (Johnson,
+"Spin structures and quadratic forms on surfaces", 1980).
 """
 
 import numpy as np
@@ -52,3 +58,28 @@ def bfs_partition(g, classes):
                     fresh.append(new)
             frontier = np.concatenate(fresh) if fresh else np.empty(0, dtype=np.uint32)
         sizes[seed] = size
+
+
+def weierstrass_subset(g, top, bottom):
+    """The branch subset T of the matrix (top, bottom), as a mask: bit p-1 is point p.
+
+    Generator s_p twists about the lift of the arc {p, p+1}; with v_p the
+    matrix value on that curve (v_1 = c(beta_1), v_2i = c(alpha_i),
+    v_2i+1 = c(beta_i) + c(beta_i+1), v_2g+1 = c(beta_g)), the membership
+    bits are t_1 = 0 and t_p+1 = t_p xor v_p xor 1.  So point 1 is never in
+    T; the complement of T names the same structure.
+    """
+    values = [bottom & 1]
+    for i in range(g):
+        values.append(top >> i & 1)
+        values.append((bottom >> i ^ bottom >> (i + 1)) & 1)  # bit g of bottom is 0
+    subset = t = 0
+    for p, v in enumerate(values, start=1):
+        t ^= v ^ 1
+        subset |= t << p
+    return subset
+
+
+def weierstrass_class(g, top, bottom):
+    """The class index m = |g + 1 - |T|| / 2 of the matrix (top, bottom)."""
+    return abs(g + 1 - weierstrass_subset(g, top, bottom).bit_count()) // 2

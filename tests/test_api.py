@@ -124,3 +124,34 @@ def test_every_module_level_definition_is_used():
             node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         }
         assert not defined - used - exempt, (name, sorted(defined - used - exempt))
+
+
+def _hyperspin_imports(tree):
+    """The names a module imports from hyperspin and its submodules."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hyperspin":
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names if a.name.split(".")[0] == "hyperspin")
+    return names
+
+
+def test_the_oracles_stay_independent_of_the_program():
+    # each file's docstring says what it shares with the program; the
+    # branch-subset classifier and the benchmark's checks share nothing
+    root = Path(__file__).resolve().parents[1]
+    oracles = ast.parse((root / "tests" / "oracles.py").read_text())
+    shared = _hyperspin_imports(oracles)
+    assert shared == {"SelfCheckError", "twist_keys"}
+    classifier = [
+        node
+        for node in oracles.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("weierstrass_")
+    ]
+    assert len(classifier) == 2
+    for function in classifier:
+        used = {node.id for node in ast.walk(function) if isinstance(node, ast.Name)}
+        assert not used & shared, function.name
+    checks = ast.parse((root / "perfbench" / "checks.py").read_text())
+    assert _hyperspin_imports(checks) == set()

@@ -22,6 +22,7 @@ from hyperspin import (
 )
 from hyperspin.braid import _act_letter
 from hyperspin.orbits import _generator_keys, twist_keys
+from oracles import weierstrass_subset
 from points import bubble_word, cycles, images_of_word
 
 
@@ -137,6 +138,24 @@ def test_act_letter_runs_on_row_arrays():
             # object arrays run the scalar kernel on each key's Python ints
             t, b = _act_letter(g, top.astype(object), bottom.astype(object), i)
             assert images.tolist() == (t | b << g).tolist(), (g, i)
+
+
+def test_letters_swap_their_points_in_the_branch_subset():
+    # s_i acts on the branch subset T as the transposition (i, i+1); T is
+    # kept without point 1, so it is complemented when point 1 enters
+    for g in range(1, 7):
+        full, mask = (1 << (2 * g + 2)) - 1, (1 << g) - 1
+        for key in range(1 << (2 * g)):
+            top, bottom = key & mask, key >> g
+            subset = weierstrass_subset(g, top, bottom)
+            for i in range(1, 2 * g + 2):
+                # swapping two points flips both bits exactly when they differ
+                differ = (subset >> (i - 1) ^ subset >> i) & 1
+                swapped = subset ^ differ * 3 << (i - 1)
+                if swapped & 1:
+                    swapped ^= full
+                image = _act_letter(g, top, bottom, i)
+                assert weierstrass_subset(g, *image) == swapped, (g, key, i)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from hyperspin import (
     stabilizer_form,
 )
 from hyperspin.orbits import apply_generator_keys
+from oracles import weierstrass_class, weierstrass_subset
 
 
 def every_matrix(g):
@@ -353,6 +354,22 @@ def test_class_table_equals_class_index_at_every_key(g):
     table = normalform.class_table(g)
     assert len(table) == 1 << (2 * g)
     assert list(table) == [class_index(m) for m in every_matrix(g)]
+
+
+@pytest.mark.parametrize("g", range(3, 9))
+def test_class_table_agrees_with_the_branch_subset_classifier(g):
+    # Johnson's classification, computed with no code of the program
+    mask = (1 << g) - 1
+    expected = [weierstrass_class(g, key & mask, key >> g) for key in range(1 << (2 * g))]
+    assert list(normalform.class_table(g)) == expected
+
+
+def test_canonical_forms_have_branch_subsets_of_their_class_size():
+    for g in range(1, 13):
+        for m in range((g + 1) // 2 + 1):
+            form = canonical_form(g, m)
+            size = weierstrass_subset(g, form.top, form.bottom).bit_count()
+            assert size in (g + 1 - 2 * m, g + 1 + 2 * m), (g, m)
 
 
 @pytest.mark.parametrize(

@@ -345,6 +345,20 @@ def test_small_genera_skip_the_frontier_phase(monkeypatch):
     assert _digest(sp_transvection_orbits(5).labels) == TRANSVECTION_LABEL_DIGESTS[5]
 
 
+def _faulty_closure(monkeypatch, fault):
+    def closure(g, classes):
+        ordinals, sizes = _closure_partition(g, classes)
+        return fault(ordinals.copy(), sizes)
+
+    monkeypatch.setattr(orbits, "_closure_partition", closure)
+
+
+def test_enumeration_checks_the_sizes_sum_to_the_state_count(monkeypatch):
+    _faulty_closure(monkeypatch, lambda ordinals, sizes: (ordinals, {**sizes, 0: sizes[0] - 1}))
+    with pytest.raises(SelfCheckError, match="^orbit sizes do not sum to the state count$"):
+        enumerate_orbits(3)
+
+
 def test_closure_refuses_a_256th_orbit():
     with pytest.raises(SelfCheckError, match="255"):
         _closure_partition(5, ())
@@ -411,6 +425,18 @@ def test_census_rejects_seeds_or_sizes_off_the_canonical_forms(partitions):
     p = partitions[2]
     with pytest.raises(SelfCheckError, match="predicted 10"):
         census(OrbitPartition(2, p.ordinals, {0: 8, 5: 8}))
+
+
+def test_census_checks_each_size_divides_the_group_order(partitions):
+    p = partitions[2]
+    with pytest.raises(SelfCheckError, match="^orbit size 7 does not divide the group order$"):
+        census(OrbitPartition(2, p.ordinals, {0: 7, 5: 9}))
+
+
+def test_census_checks_each_seed_has_its_class_arf(monkeypatch, partitions):
+    monkeypatch.setattr(orbits, "arf", lambda matrix: 1 - arf(matrix))
+    with pytest.raises(SelfCheckError, match="^orbit 0 has Arf 1$"):
+        census(partitions[3])
 
 
 def test_predicted_stabilizer_orders():
@@ -498,9 +524,39 @@ def test_generator_orbits_refine_sp_orbits(partitions):
     assert sizes == {0: 36, 1: 28}
 
 
+def test_sp_checks_the_orbit_count(monkeypatch):
+    # without beta_2 the chain's twists leave the 64 keys in 4 orbits
+    monkeypatch.setattr(orbits, "_humphries_keys", lambda g: _generator_keys(g)[: 2 * g])
+    with pytest.raises(SelfCheckError, match="^expected 2 transvection orbits, found 4$"):
+        sp_transvection_orbits(3)
+
+
+def test_sp_checks_each_orbit_has_constant_arf(monkeypatch):
+    def swap_key_0(ordinals, sizes):
+        other = list(sizes)[1]  # the first key of the other orbit
+        ordinals[[0, other]] = ordinals[[other, 0]]
+        return ordinals, sizes
+
+    _faulty_closure(monkeypatch, swap_key_0)
+    with pytest.raises(SelfCheckError, match="^a transvection orbit has non-constant Arf$"):
+        sp_transvection_orbits(3)
+
+
+def test_sp_checks_the_orbit_sizes(monkeypatch):
+    def swap_sizes(ordinals, sizes):
+        return ordinals, dict(zip(sizes, reversed(sizes.values())))
+
+    _faulty_closure(monkeypatch, swap_sizes)
+    with pytest.raises(SelfCheckError) as raised:
+        sp_transvection_orbits(3)
+    assert str(raised.value) == "transvection orbit sizes {0: 28, 1: 36} are wrong"
+
+
 def test_sp_rejects_oversized_genus():
-    with pytest.raises(ValueError):
+    # the enumeration's guard, with the transvection bound
+    with pytest.raises(ValueError) as raised:
         sp_transvection_orbits(7)
+    assert str(raised.value) == "enumeration supports 1 <= g <= 6 (2^(2g) states); got g = 7"
 
 
 # ---------------------------------------------------------------------------
