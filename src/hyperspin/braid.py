@@ -24,10 +24,10 @@ the test suite; the reverse order does not reproduce them.
 Words print as comma-separated generator indices, e.g. ``8,10``.
 
 This module is the generator action and nothing else: the twist classes,
-the letter action on packed rows (ints, or unsigned arrays of rows), words
-of letters and the flip word.  It holds no permutations of the points;
-that the action factors through S_{2g+2} is checked through the Coxeter
-relations.
+the letter action on packed keys top | bottom << g (ints, or unsigned
+arrays of keys), words of letters and the flip word.  It holds no
+permutations of the points; that the action factors through S_{2g+2} is
+checked through the Coxeter relations.
 """
 
 from __future__ import annotations
@@ -57,19 +57,20 @@ def generator_class(i: int, g: int) -> HomologyClass:
     return HomologyClass(g, 0, 3 << ((i - 1) // 2 - 1))
 
 
-def _act_letter(g: int, top: int, bottom: int, i: int) -> tuple[int, int]:
-    """Apply s_i to packed rows, ints or unsigned arrays.  No range check; callers validate."""
+def _act_letter(g: int, key: int, i: int) -> int:
+    """Apply s_i to packed keys top | bottom << g, ints or unsigned arrays.
+
+    An array keeps its dtype.  No range check; callers validate.
+    """
     if i == 1:
-        return top ^ (~bottom & 1), bottom
+        return key ^ (key >> g & 1 ^ 1)
     if i == 2 * g + 1:
-        t = g - 1
-        return top ^ ((~bottom >> t) & 1) << t, bottom
+        return key ^ (key >> 2 * g - 1 & 1 ^ 1) << g - 1
     if i % 2 == 0:
         t = i // 2 - 1
-        return top, bottom ^ ((~top >> t) & 1) << t
-    t = (i - 1) // 2 - 1
-    flip = (~((bottom >> t) ^ (bottom >> (t + 1)))) & 1
-    return top ^ (flip << t) ^ (flip << (t + 1)), bottom
+        return key ^ (key >> t & 1 ^ 1) << g + t
+    t = g + (i - 1) // 2 - 1  # bottom bit of c(beta_j)
+    return key ^ ((key >> t ^ key >> t + 1) & 1 ^ 1) * 3 << t - g
 
 
 def apply_generator(matrix: SpinMatrix, i: int) -> SpinMatrix:
@@ -80,20 +81,19 @@ def apply_generator(matrix: SpinMatrix, i: int) -> SpinMatrix:
     """
     if not 1 <= i <= 2 * matrix.g + 1:
         raise ValueError(f"generator index {i} out of range 1..{2 * matrix.g + 1}")
-    top, bottom = _act_letter(matrix.g, matrix.top, matrix.bottom, i)
-    return SpinMatrix(matrix.g, top, bottom)
+    return SpinMatrix.from_key(matrix.g, _act_letter(matrix.g, matrix.key(), i))
 
 
 def apply_word(matrix: SpinMatrix, word: Iterable[int]) -> SpinMatrix:
     """Fold apply_generator over the word, left to right."""
     g = matrix.g
-    top, bottom = matrix.top, matrix.bottom
+    key = matrix.key()
     limit = 2 * g + 1
     for i in word:
         if not 1 <= i <= limit:
             raise ValueError(f"generator index {i} out of range 1..{limit}")
-        top, bottom = _act_letter(g, top, bottom, i)
-    return SpinMatrix(g, top, bottom)
+        key = _act_letter(g, key, i)
+    return SpinMatrix.from_key(g, key)
 
 
 def flip_word(g: int) -> Iterator[int]:

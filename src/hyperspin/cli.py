@@ -378,10 +378,9 @@ def _check_relations(g: int) -> tuple[str, str]:
     mask = (1 << g) - 1
 
     def act(keys: np.ndarray, word: tuple[int, ...]) -> np.ndarray:
-        top, bottom = keys & mask, keys >> g
         for i in word:
-            top, bottom = _act_letter(g, top, bottom, i)
-        return top | bottom << g
+            keys = _act_letter(g, keys, i)
+        return keys
 
     invariant = arf_keys(g, keys)
     for i in generators:

@@ -67,7 +67,7 @@ class HomologyClass:
         return HomologyClass(self.g, self.a ^ other.a, self.b ^ other.b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpinMatrix:
     """A spin structure as its 2 x g matrix of basis values.
 

@@ -56,7 +56,8 @@ raise SelfCheckError.
 
 Passes.  _plan reads the one pass that fits the current rows as a list
 of steps, each a word and the window it must leave, and _pass applies
-them under their guards.  The pass is clear-bottom-columns while a (0,1)
+them under their guards to the packed key top | bottom << g, which it
+unpacks once, for _plan.  The pass is clear-bottom-columns while a (0,1)
 column is left, else one loop pass (align, cancel and clear together),
 else drop-top-left or drop-top-right, else one pack move; _plan returns
 None when none applies, and _end_class then checks the end state.  Every
@@ -69,10 +70,10 @@ class_index) repeat passes until none applies.  class_table steps every
 key but the canonical forms exactly once, every step under its guards,
 and takes the class of the lower key it lands on.  The 4^g - 3^g keys
 with a (0,1) column take clear-bottom-columns together, one letter of
-_plan's word at a time over the rows of all keys; its exact post-state
-makes each land on a lower key, and _pass reports a failure.  The 3^g
-keys whose bottom row lies within the top row take one scalar _pass
-each, in increasing key order, and land on lower keys of that kind.
+_plan's word at a time over an array of all the packed keys; its exact
+post-state makes each land on a lower key, and _pass reports a failure.
+The 3^g keys whose bottom row lies within the top row take one scalar
+_pass each, in increasing key order, and land on lower keys of that kind.
 
 Trace serialization (one step per line): ``<moveName> <word> -> <matrix>``.
 """
@@ -259,43 +260,41 @@ def _plan(g: int, top: int, bottom: int) -> list[tuple] | None:
     return [("pack-top-column", range(2 * s - 1, 2 * t, -2), t, s, 1, 0)]
 
 
-def _pass(
-    g: int, top: int, bottom: int, steps: list[ReductionStep] | None
-) -> tuple[int, int] | None:
-    """Apply the steps of _plan(g, top, bottom) under their guards; return the rows.
+def _pass(g: int, key: int, steps: list[ReductionStep] | None) -> int | None:
+    """Apply the steps of _plan to the key under their guards; return the key.
 
-    Each step must leave exactly the rows it states, and the pass must land
+    Each step must leave exactly the key it states, and the pass must land
     on a lower key with no (0,1) column, as the callers rely on.  None means
     no pass applies; steps are appended to steps unless it is None.
     """
-    plan = _plan(g, top, bottom)
+    plan = _plan(g, key & (1 << g) - 1, key >> g)
     if plan is None:
         return None
-    key = top | bottom << g
+    start = key
     for name, word, lo, hi, t, b in plan:
-        keep = ~((1 << hi) - (1 << lo - 1))
-        want = (top & keep) | t << lo - 1, (bottom & keep) | b << lo - 1
+        window = (1 << hi) - (1 << lo - 1)
+        want = key & ~(window | window << g) | (t | b << g) << lo - 1
         for i in word:
-            top, bottom = _act_letter(g, top, bottom, i)
-        if (top, bottom) != want:
+            key = _act_letter(g, key, i)
+        if key != want:
             raise SelfCheckError(
-                f"{name} {format_word(word)} left {SpinMatrix(g, top, bottom)}, "
-                f"not {SpinMatrix(g, *want)}"
+                f"{name} {format_word(word)} left {SpinMatrix.from_key(g, key)}, "
+                f"not {SpinMatrix.from_key(g, want)}"
             )
         if steps is not None:
-            steps.append(ReductionStep(name, tuple(word), SpinMatrix(g, top, bottom)))
-    if bottom & ~top:
-        left = SpinMatrix(g, top, bottom)
-        raise SelfCheckError(f"a pass from key {key} left (0,1) columns: {left}")
-    if (lower := top | bottom << g) >= key:
-        raise SelfCheckError(f"a pass from key {key} reached key {lower}, not a lower one")
-    return top, bottom
+            steps.append(ReductionStep(name, tuple(word), SpinMatrix.from_key(g, key)))
+    if key >> g & ~key:
+        left = SpinMatrix.from_key(g, key)
+        raise SelfCheckError(f"a pass from key {start} left (0,1) columns: {left}")
+    if key >= start:
+        raise SelfCheckError(f"a pass from key {start} reached key {key}, not a lower one")
+    return key
 
 
-def _end_class(g: int, top: int, bottom: int) -> int:
-    """The class index m of rows no pass applies to; they must be canonical_form(g, m)."""
-    m = (top.bit_count() + 1) // 2
-    final = SpinMatrix(g, top, bottom)
+def _end_class(g: int, key: int) -> int:
+    """The class index m of a key no pass applies to; it must be canonical_form(g, m)."""
+    final = SpinMatrix.from_key(g, key)
+    m = (final.top.bit_count() + 1) // 2
     if final != canonical_form(g, m):
         raise SelfCheckError(f"landed on {final}, not the class-{m} form")
     return m
@@ -318,43 +317,40 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
     if g < 3:
         raise ValueError(f"reduction needs genus >= 3, got {g}")
     steps: list[ReductionStep] | None = [] if record else None
-    top, bottom = matrix.top, matrix.bottom
-    while (rows := _pass(g, top, bottom, steps)) is not None:
-        top, bottom = rows
-    trace = ReductionTrace(matrix, tuple(steps or ()), _end_class(g, top, bottom))
+    key = matrix.key()
+    while (landed := _pass(g, key, steps)) is not None:
+        key = landed
+    trace = ReductionTrace(matrix, tuple(steps or ()), _end_class(g, key))
     if record and apply_word(matrix, trace.total_word) != trace.result:
         raise SelfCheckError("trace word does not replay to the final matrix")
     return trace
 
 
-def _clear_bottom_rows(g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows clear-bottom-columns leaves from every key, and where it applies.
+def _clear_bottom_keys(g: int) -> tuple[np.ndarray, np.ndarray]:
+    """The key clear-bottom-columns leaves from every key, and where it applies.
 
-    Returns (top, bottom, lone) arrays.  Entry [b, t] belongs to the key
-    t | b << g, so they flatten in key order; the rows' dtype is the least
-    unsigned one that holds g bits, and lone marks the keys with a (0,1)
-    column.  Each letter of _plan's word for the all-(0,1) key acts, in
-    place, on the rows whose column is (0,1) at that letter, so every key
-    gets its own word and a key without a (0,1) column keeps its rows.
-    Every key must then read (top, top & bottom), which lowers each key
-    with a (0,1) column.  At the least key that does not, _pass raises its
-    SelfCheckError, or else one says the array and scalar steps disagree.
+    Returns (landed, lone) arrays indexed by key: landed holds keys in the
+    least unsigned dtype that holds 2g bits, and lone marks the keys with a
+    (0,1) column.  Each letter of _plan's word for the all-(0,1) key acts,
+    in place, on the keys whose column is (0,1) at that letter, so every key
+    gets its own word and a key without a (0,1) column stays.  Every key
+    top | bottom << g must then land on top | (top & bottom) << g, which
+    lowers each key with a (0,1) column.  At the least key that does not,
+    _pass raises its SelfCheckError, or else one says the array and scalar
+    steps disagree.
     """
     mask = (1 << g) - 1
-    columns = np.arange(1 << g, dtype=np.min_scalar_type(mask))
-    top0, bottom0 = np.broadcast_arrays(columns, columns[:, None])
-    top, bottom = top0.copy(), bottom0.copy()
+    keys = np.arange(1 << 2 * g, dtype=np.min_scalar_type((1 << 2 * g) - 1))
+    landed = keys.copy()
     [(_, word, *_)] = _plan(g, 0, mask)
     for k, i in enumerate(word):
-        on = (bottom & ~top & 1 << k) != 0
-        for row, acted in zip((top, bottom), _act_letter(g, top, bottom, i)):
-            np.copyto(row, acted, where=on)
-    wrong = (top != top0) | (bottom != top0 & bottom0)
+        np.copyto(landed, _act_letter(g, landed, i), where=(landed >> g & ~landed & 1 << k) != 0)
+    wrong = landed != keys & (keys << g | mask)
     if wrong.any():
         key = int(wrong.argmax())
-        _pass(g, key & mask, key >> g, None)
+        _pass(g, key, None)
         raise SelfCheckError(f"the array and scalar clear-bottom steps disagree at key {key}")
-    return top, bottom, bottom0 & ~top0 != 0
+    return landed, keys >> g & ~keys != 0
 
 
 def class_table(g: int) -> bytearray:
@@ -362,26 +358,25 @@ def class_table(g: int) -> bytearray:
 
     Each key but the canonical forms takes exactly one pass.  The 4^g - 3^g
     keys with a (0,1) column take clear-bottom-columns together in
-    _clear_bottom_rows, with _plan's word and _pass's failure message; its
+    _clear_bottom_keys, with _plan's word and _pass's failure message; its
     exact post-state lands them on lower keys whose bottom row lies within
     the top row.  Those 3^g keys take one scalar pass each, in increasing
     key order.  _pass checks that such a pass lands on a lower key of the
-    same kind, already in the table, and it reads nothing but the rows, so
-    the reduction from this key goes on as the one from that key and this
-    key gets that key's class.  A key no pass applies to gets its class from
-    the end-state check.  The keys with a (0,1) column then read the class
-    of the key they landed on, in one gather.
+    same kind, already in the table, and it reads nothing but the packed
+    key, so the reduction from this key goes on as the one from that key
+    and this key gets that key's class.  A key no pass applies to gets its
+    class from the end-state check.  The keys with a (0,1) column then read
+    the class of the key they landed on, in one gather.
     """
     if g < 3:
         raise ValueError(f"reduction needs genus >= 3, got {g}")
-    top, bottom, lone = _clear_bottom_rows(g)
+    landed, lone = _clear_bottom_keys(g)
     table = bytearray(1 << 2 * g)
-    mask = (1 << g) - 1
     for key in np.flatnonzero(~lone).tolist():
-        rows = _pass(g, key & mask, key >> g, None)
-        table[key] = table[rows[0] | rows[1] << g] if rows else _end_class(g, key & mask, key >> g)
-    classes = np.frombuffer(table, dtype=np.uint8).reshape(top.shape)
-    classes[...] = classes[bottom, top]
+        after = _pass(g, key, None)
+        table[key] = _end_class(g, key) if after is None else table[after]
+    classes = np.frombuffer(table, dtype=np.uint8)
+    classes[:] = classes[landed]
     return table
 
 

@@ -120,7 +120,7 @@ def test_action_agrees_with_twist_about_generator_class():
                 assert apply_generator(m, i) == dehn_twist(m, generator_class(i, g))
 
 
-def test_act_letter_runs_on_row_arrays():
+def test_act_letter_runs_on_key_arrays():
     # every key for g <= 8, seeded keys at the largest verify genera
     rng = random.Random(14)
     cases = [(g, np.arange(1 << (2 * g), dtype=np.uint32)) for g in range(1, 9)]
@@ -129,15 +129,17 @@ def test_act_letter_runs_on_row_arrays():
         for g in (12, 14)
     ]
     for g, keys in cases:
-        top, bottom = keys & ((1 << g) - 1), keys >> g
         for i, gamma_key in enumerate(_generator_keys(g), 1):
-            t, b = _act_letter(g, top, bottom, i)
-            assert t.dtype == b.dtype == np.uint32, (g, i)
-            images = t | b << g
-            assert np.array_equal(images, twist_keys(g, gamma_key, keys)), (g, i)
-            # object arrays run the scalar kernel on each key's Python ints
-            t, b = _act_letter(g, top.astype(object), bottom.astype(object), i)
-            assert images.tolist() == (t | b << g).tolist(), (g, i)
+            images = twist_keys(g, gamma_key, keys)
+            # every unsigned dtype that holds the keys: the output keeps it,
+            # so the class table's key arrays are never upcast
+            for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+                if np.iinfo(dtype).bits >= 2 * g:
+                    acted = _act_letter(g, keys.astype(dtype), i)
+                    assert acted.dtype == dtype, (g, i, dtype)
+                    assert np.array_equal(acted, images), (g, i, dtype)
+            # object arrays run the scalar kernel on each key's Python int
+            assert _act_letter(g, keys.astype(object), i).tolist() == images.tolist(), (g, i)
 
 
 def test_letters_swap_their_points_in_the_branch_subset():
@@ -154,8 +156,8 @@ def test_letters_swap_their_points_in_the_branch_subset():
                 swapped = subset ^ differ * 3 << (i - 1)
                 if swapped & 1:
                     swapped ^= full
-                image = _act_letter(g, top, bottom, i)
-                assert weierstrass_subset(g, *image) == swapped, (g, key, i)
+                image = _act_letter(g, key, i)
+                assert weierstrass_subset(g, image & mask, image >> g) == swapped, (g, key, i)
 
 
 # ---------------------------------------------------------------------------

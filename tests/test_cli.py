@@ -443,29 +443,27 @@ def _row_of(out, g, check):
 _RELATION_BREAKS = [
     (
         "_act_letter",
-        lambda g, top, bottom, i: ((top + 1) % (1 << g), bottom),
+        lambda g, key, i: key >> g << g | (key + 1) % (1 << g),
         "generator 1 not an involution",
         "generator 1 not an involution",
     ),
     (
         "_act_letter",
-        lambda g, top, bottom, i: (top ^ 1, bottom),
+        lambda g, key, i: key ^ 1,
         "generator 1 changes Arf",
         "generator 1 changes Arf",
     ),
     # s_3 acting as s_2: still an involution that keeps the Arf
     (
         "_act_letter",
-        lambda g, top, bottom, i: braid._act_letter(g, top, bottom, 2 if i == 3 else i),
+        lambda g, key, i: braid._act_letter(g, key, 2 if i == 3 else i),
         "1,3 do not commute",
         "3,1 do not commute",
     ),
     # s_1 acting as the identity commutes with every letter
     (
         "_act_letter",
-        lambda g, top, bottom, i: (
-            (top, bottom) if i == 1 else braid._act_letter(g, top, bottom, i)
-        ),
+        lambda g, key, i: key if i == 1 else braid._act_letter(g, key, i),
         "braid relation fails at 1",
         "braid relation fails at 1",
     ),
@@ -480,7 +478,7 @@ _RELATION_BREAKS = [
     # not only the 64 the relations use
     (
         "_act_letter",
-        lambda g, top, bottom, i: (top ^ (i == 5) * ((top | bottom << g) == 137), bottom),
+        lambda g, key, i: key ^ (i == 5) * (key == 137),
         None,
         "generator 5 not an involution",
     ),

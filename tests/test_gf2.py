@@ -277,6 +277,12 @@ def test_matrix_key_round_trip():
         assert SpinMatrix.from_key(3, m.key()) == m
 
 
+def test_matrix_has_no_instance_dict():
+    # slots keep a traced reduction small: every recorded step holds a
+    # matrix built from a packed key, with two fresh row ints of its own
+    assert not hasattr(SpinMatrix(3, 0, 0), "__dict__")
+
+
 @pytest.mark.parametrize("key", [64, -1, 1000])
 def test_matrix_from_key_rejects_keys_out_of_range(key):
     with pytest.raises(ValueError, match="out of range"):

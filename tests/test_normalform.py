@@ -19,6 +19,7 @@ from hyperspin import (
     canonical_form,
     class_index,
     fixed_point_matrix,
+    format_word,
     reduce_to_canonical,
     stabilizer_form,
 )
@@ -222,7 +223,7 @@ def test_reduction_rejects_small_genus():
 
 
 def test_reduction_guards_fire_when_a_letter_does_nothing(monkeypatch):
-    monkeypatch.setattr(normalform, "_act_letter", lambda g, top, bottom, i: (top, bottom))
+    monkeypatch.setattr(normalform, "_act_letter", lambda g, key, i: key)
     message = "cancel-full-pair 9 left 11111/10111, not 11100/10111"
     with pytest.raises(SelfCheckError, match=f"^{message}$"):
         reduce_to_canonical(SpinMatrix.from_text("11111/10111"))
@@ -260,10 +261,9 @@ def test_reduction_guards_fire_on_a_flip_outside_the_window(
     act = normalform._act_letter
     flips = [1 << (outside - 1)]
 
-    def act_and_flip_once(g, top, bottom, i):
-        top, bottom = act(g, top, bottom, i)
+    def act_and_flip_once(g, key, i):
         flip = flips.pop() if flips else 0
-        return (top ^ flip, bottom) if row == "top" else (top, bottom ^ flip)
+        return act(g, key, i) ^ (flip if row == "top" else flip << g)
 
     monkeypatch.setattr(normalform, "_act_letter", act_and_flip_once)
     with pytest.raises(SelfCheckError, match=f"^{move} "):
@@ -290,6 +290,17 @@ def test_reduction_traces_are_pinned():
         for step in trace.steps:
             digest.update((step.to_text() + "\n").encode())
     assert digest.hexdigest() == TRACE_DIGEST
+
+
+def test_a_long_reduction_past_64_columns_is_pinned():
+    # the trace digest above stops at g = 64, 128-bit keys; here 101 pack
+    # moves of up to 297 letters each run on 400-bit keys
+    matrix = SpinMatrix.from_text("0" * 99 + "1" * 101 + "/" + "0" * 99 + "10" * 50 + "1")
+    trace = reduce_to_canonical(matrix)
+    assert (trace.class_index, len(trace.steps), len(trace.total_word)) == (51, 101, 20097)
+    assert hashlib.sha256(format_word(trace.total_word).encode()).hexdigest() == (
+        "aa0e27121915c02e89bbb858dae1eee9476318199c8da6be5203e3a6c1eddd67"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -391,23 +402,22 @@ def test_class_table_steps_each_key_at_most_once(monkeypatch):
     # with a (0,1) column in the array step, the others in scalar passes
     g = 6
     expected = bytes(class_index(m) for m in every_matrix(g))
-    one_pass, array_step = normalform._pass, normalform._clear_bottom_rows
+    one_pass, array_step = normalform._pass, normalform._clear_bottom_keys
     stepped, moved = [], []
 
-    def counted(g, top, bottom, steps):
-        rows = one_pass(g, top, bottom, steps)
-        if rows is not None:
-            stepped.append(top | bottom << g)
-        return rows
+    def counted(g, key, steps):
+        landed = one_pass(g, key, steps)
+        if landed is not None:
+            stepped.append(key)
+        return landed
 
     def recorded(g):
-        top, bottom, lone = array_step(g)
-        keys = np.arange(1 << (2 * g)).reshape(top.shape)
-        moved.extend(np.flatnonzero((top | bottom.astype(np.int64) << g) != keys).tolist())
-        return top, bottom, lone
+        landed, lone = array_step(g)
+        moved.extend(np.flatnonzero(landed != np.arange(landed.size)).tolist())
+        return landed, lone
 
     monkeypatch.setattr(normalform, "_pass", counted)
-    monkeypatch.setattr(normalform, "_clear_bottom_rows", recorded)
+    monkeypatch.setattr(normalform, "_clear_bottom_keys", recorded)
     assert normalform.class_table(g) == expected
     mask = (1 << g) - 1
     within = [key for key in range(1 << (2 * g)) if not key >> g & ~key & mask]
@@ -419,13 +429,10 @@ def test_class_table_steps_each_key_at_most_once(monkeypatch):
 
 @pytest.mark.parametrize("g", [3, 4, 5, 6, 7])
 def test_every_pass_lowers_the_packed_key(g):
-    mask = (1 << g) - 1
     unstepped = set()
     for key in range(1 << (2 * g)):
-        top, bottom, before = key & mask, key >> g, key
-        while (rows := normalform._pass(g, top, bottom, None)) is not None:
-            top, bottom = rows
-            after = top | bottom << g
+        before = key
+        while (after := normalform._pass(g, before, None)) is not None:
             assert after < before, f"g={g}: a pass from key {before} reached {after}"
             before = after
         if before == key:
@@ -442,13 +449,11 @@ def test_clear_bottom_pass_flips_each_lone_bottom_column_in_ascending_order(g):
         if not lone:
             continue
         steps = []
-        rows = normalform._pass(g, matrix.top, matrix.bottom, steps)
-        cleared = (matrix.top, matrix.top & matrix.bottom)
-        assert rows == cleared
+        landed = normalform._pass(g, matrix.key(), steps)
+        cleared = SpinMatrix(g, matrix.top, matrix.top & matrix.bottom)
+        assert landed == cleared.key()
         assert steps == [
-            normalform.ReductionStep(
-                "clear-bottom-columns", tuple(2 * k for k in lone), SpinMatrix(g, *cleared)
-            )
+            normalform.ReductionStep("clear-bottom-columns", tuple(2 * k for k in lone), cleared)
         ], str(matrix)
 
 
@@ -505,21 +510,21 @@ def test_class_table_raises_on_a_faulty_action(monkeypatch):
     act = normalform._act_letter
     monkeypatch.setattr(
         normalform, "_act_letter",
-        lambda g, top, bottom, i: act(g, top, bottom, i) if i == 1 else (top, bottom),
+        lambda g, key, i: act(g, key, i) if i == 1 else key,
     )
     with pytest.raises(SelfCheckError):
         normalform.class_table(5)
 
 
-def _identity_s4(act, g, top, bottom, i):
-    return (top, bottom) if i == 4 else act(g, top, bottom, i)
+def _identity_s4(act, g, key, i):
+    return key if i == 4 else act(g, key, i)
 
 
-def _raising_s4(act, g, top, bottom, i):
+def _raising_s4(act, g, key, i):
     # where s_4 clears bottom bit 2 it sets top bit 2 instead: (0,1) -> (1,1)
-    t, b = act(g, top, bottom, i)
-    cleared = bottom & ~b & 2 if i == 4 else 0
-    return t | cleared, b | cleared
+    landed = act(g, key, i)
+    cleared = key & ~landed & 2 << g if i == 4 else 0
+    return landed | cleared | cleared >> g
 
 
 @pytest.mark.parametrize(
@@ -545,12 +550,12 @@ def test_class_table_names_the_least_key_a_faulty_clear_bottom_letter_leaves(
 
 
 def test_class_table_raises_when_the_array_and_scalar_steps_disagree(monkeypatch):
-    # s_4 is the identity on row arrays only, so the scalar pass of the least
+    # s_4 is the identity on key arrays only, so the scalar pass of the least
     # failing key succeeds and the array step must raise on its own
     act = normalform._act_letter
 
-    def array_fault(g, top, bottom, i):
-        return (top, bottom) if i == 4 and isinstance(top, np.ndarray) else act(g, top, bottom, i)
+    def array_fault(g, key, i):
+        return key if i == 4 and isinstance(key, np.ndarray) else act(g, key, i)
 
     monkeypatch.setattr(normalform, "_act_letter", array_fault)
     with pytest.raises(
