@@ -198,15 +198,21 @@ def _closure_partition(g: int, classes) -> tuple[np.ndarray, dict[int, int]]:
     no level runs.
 
     Sweep, once the frontier is larger: S |= tau(S & F), F the keys a twist
-    tau moves, through the classes and back.  Each tau acts on a superset
-    of the S the sweep started from, so every key of that S now has all its
-    twists in S, and the frontier is the keys the sweep added, read off a
-    snapshot of S by _set_keys; fewer than n >> 11 of them go back to levels.
+    tau moves, for the even-position classes, then the odd-position ones.
+    Each set commutes (even letters read the top row and change the bottom
+    one, odd letters the reverse; beta_2 joins the odd letters), so one pass
+    of a set closes S under that set's whole group.  Any order gives the
+    same partition, since steps run until one adds nothing; this one is
+    fast, as 2g+1 twists apply every product of the two groups.  Each tau
+    acts on a superset of the S the sweep started from, so every key of
+    that S now has all its twists in S, and the frontier is the keys the
+    sweep added, read off a snapshot of S by _set_keys; fewer than n >> 11
+    of them go back to levels.
 
     Every orbit's ordinal is then OR-ed into the map in key blocks.
     """
     sweep = [_twist_plan(g, gamma_key) for gamma_key in classes]
-    sweep += sweep[-2:0:-1]  # s_1..s_n..s_2: no twist twice in a row
+    sweep = sweep[1::2] + sweep[0::2]  # evens s_2, s_4, .., then odds s_1, s_3, ..
     gammas = np.array(classes, dtype=np.uint32)
     n = 1 << (2 * g)
     small = n >> 11  # a frontier below this many keys is twisted as a level

@@ -289,6 +289,59 @@ def test_twist_plan_refuses_a_class_with_a_and_b_overlapping():
         _closure_partition(3, [gamma_key])
 
 
+def test_each_sweep_family_is_commuting_involutions():
+    # a sweep twists the even-position classes, then the odd-position ones;
+    # one pass of a set closes a bitset under its group only if it commutes
+    for g in range(1, 7):
+        keys = np.arange(1 << (2 * g), dtype=np.uint32)
+        images = {}
+        for classes in (_generator_keys(g), _humphries_keys(g)):
+            for family in (classes[1::2], classes[0::2]):
+                for gamma in family:
+                    images[gamma] = twist_keys(g, gamma, keys)
+                    assert np.array_equal(twist_keys(g, gamma, images[gamma]), keys), (g, gamma)
+                for i, a in enumerate(family):
+                    for b in family[:i]:
+                        ab = twist_keys(g, a, images[b])
+                        assert np.array_equal(ab, twist_keys(g, b, images[a])), (g, a, b)
+        # s_1 and s_2 do not commute, so a wrong split would show
+        s_1, s_2 = _generator_keys(g)[:2]
+        assert not np.array_equal(
+            twist_keys(g, s_1, images[s_2]), twist_keys(g, s_2, images[s_1])
+        ), g
+
+
+def test_the_sweep_order_is_only_a_speed_up():
+    # rotated by one, s_2 comes first and s_1 last, so one set of the sweep
+    # holds both and does not commute; the closure still runs until a step
+    # adds nothing and finds the BFS's partition
+    for g in range(1, 7):
+        keys = _generator_keys(g)
+        closure_ordinals, closure_sizes = _closure_partition(g, keys[1:] + keys[:1])
+        bfs_ordinals, bfs_sizes = bfs_partition(g, keys)
+        assert np.array_equal(closure_ordinals, bfs_ordinals), g
+        assert list(closure_sizes.items()) == list(bfs_sizes.items()), g
+
+
+def test_sweep_costs_are_pinned(monkeypatch):
+    # a sweep is one pass of each family, 2g+1 twists; the totals move with
+    # the sweep order and with the hand-back to levels
+    counts = []
+    sweep = orbits._sweep
+
+    def recording_sweep(bits, plans):
+        counts.append(len(plans))
+        sweep(bits, plans)
+
+    monkeypatch.setattr(orbits, "_sweep", recording_sweep)
+    enumerate_orbits(10)
+    assert set(counts) == {21}
+    assert sum(counts) == 504
+    counts.clear()
+    sp_transvection_orbits(6)
+    assert sum(counts) == 169
+
+
 def test_orbits_below_the_frontier_limit_skip_the_sweeps(monkeypatch):
     # a frontier of fewer than n >> 11 keys is twisted as a level, so the
     # 190- and 1-key orbits at g = 9 and the 22-key orbit at g = 10 close
