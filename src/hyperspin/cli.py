@@ -65,6 +65,7 @@ from .normalform import (
 from .orbits import (
     MAX_ENUMERATION_GENUS,
     MAX_SP_GENUS,
+    _generator_keys,
     arf_keys,
     census,
     enumerate_orbits,
@@ -72,6 +73,7 @@ from .orbits import (
     fixed_matrices,
     predicted_orbit_size,
     sp_transvection_orbits,
+    twist_keys,
     verify_isotropy,
 )
 
@@ -358,8 +360,9 @@ def _check_isotropy(g: int, partition) -> tuple[str, str]:
 
 
 def _check_relations(g: int) -> tuple[str, str]:
-    """Involutions, Arf invariance, commutation, braid relations, quadratic refinement;
-    exhaustive for g <= 3.  All but the last fold braid._act_letter over packed-key arrays."""
+    """Involutions, Arf invariance, commutation, braid relations, each letter the twist
+    about its class, quadratic refinement; exhaustive for g <= 3.  All but the last
+    fold braid._act_letter over packed-key arrays."""
     rng = random.Random(0xC0FFEE + g)
     n = 1 << (2 * g)
     generators = range(1, 2 * g + 2)
@@ -393,6 +396,9 @@ def _check_relations(g: int) -> tuple[str, str]:
     for left, right, failure in relations:
         if not np.array_equal(act(head, left), act(head, right)):
             return "FAIL", failure
+    for i, gamma in zip(generators, _generator_keys(g)):
+        if not np.array_equal(act(keys, (i,)), twist_keys(g, gamma, keys)):
+            return "FAIL", f"generator {i} is not the twist about its class"
     for _ in range(samples):
         mk, xk, yk = (rng.randrange(n) for _ in range(3))
         matrix = SpinMatrix.from_key(g, mk)
@@ -495,6 +501,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
+# The subcommands whose arguments are required positionals and on/off flags,
+# in help order: name, handler, help, positionals, flags; each also takes --json.
+_SINGLE_GENUS_COMMANDS = (
+    ("classify", _cmd_classify, "orbit class of a spin matrix", ("g", "matrix"), ()),
+    ("reduce", _cmd_reduce, "reduction word and trace", ("g", "matrix"), ("--trace",)),
+    ("orbits", _cmd_orbits, "orbit census table", ("g",), ()),
+    ("isotropy", _cmd_isotropy, "stabilizer report", ("g", "m"), ()),
+    ("fixed-point", _cmd_fixed_point, "matrix fixed by every generator", ("g",), ()),
+)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -502,35 +518,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Orbit classification of spin structures under branch-point permutations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="orbit class of a spin matrix")
-    p.add_argument("g")
-    p.add_argument("matrix")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("reduce", help="reduction word and trace")
-    p.add_argument("g")
-    p.add_argument("matrix")
-    p.add_argument("--trace", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("orbits", help="orbit census table")
-    p.add_argument("g")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_orbits)
-
-    p = sub.add_parser("isotropy", help="stabilizer report")
-    p.add_argument("g")
-    p.add_argument("m")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_isotropy)
-
-    p = sub.add_parser("fixed-point", help="matrix fixed by every generator")
-    p.add_argument("g")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_fixed_point)
+    for name, handler, text, positionals, flags in _SINGLE_GENUS_COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for dest in positionals:
+            p.add_argument(dest)
+        for flag in flags:
+            p.add_argument(flag, action="store_true")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=handler)
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("range", nargs="?", default="3..8")

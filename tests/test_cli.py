@@ -1,5 +1,6 @@
 """Command-line interface: outputs, flags, exit codes."""
 
+import argparse
 import builtins
 import contextlib
 import dataclasses
@@ -438,6 +439,12 @@ def _row_of(out, g, check):
     return line
 
 
+def _swap12(g, key):
+    """Swap columns 1 and 2 of packed keys, ints or unsigned arrays."""
+    moved = (key ^ key >> 1) & (1 | 1 << g)
+    return key ^ moved * 3
+
+
 # (name in cli, patch, the relations row's detail at g = 3, at g = 4); the
 # row folds cli._act_letter over packed-key arrays
 _RELATION_BREAKS = [
@@ -472,6 +479,14 @@ _RELATION_BREAKS = [
         lambda x, y: 0,
         "quadratic refinement violated",
         "quadratic refinement violated",
+    ),
+    # every letter conjugated by the swap of columns 1 and 2: involutions that
+    # keep the Arf and satisfy every relation, but s_1 twists about beta_2
+    (
+        "_act_letter",
+        lambda g, key, i: _swap12(g, braid._act_letter(g, _swap12(g, key), i)),
+        "generator 1 is not the twist about its class",
+        "generator 1 is not the twist about its class",
     ),
     # every letter the identity but s_5 on key 137, which g = 3 lacks and g = 4
     # first draws after its 64th key: the involution check reads all 256 keys,
@@ -572,6 +587,35 @@ def test_verify_rejects_malformed_range(capsys):
 
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
+
+
+def test_parser_pins_each_subcommand_usage_and_help():
+    # the usage line fixes the order of positionals and flags, and shows that
+    # only --max-g takes a value; whole help texts differ between Pythons
+    (sub,) = [
+        action
+        for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    usages = {
+        name: " ".join(parser.format_usage().split()) for name, parser in sub.choices.items()
+    }
+    assert usages == {
+        "classify": "usage: hyperspin classify [-h] [--json] g matrix",
+        "reduce": "usage: hyperspin reduce [-h] [--trace] [--json] g matrix",
+        "orbits": "usage: hyperspin orbits [-h] [--json] g",
+        "isotropy": "usage: hyperspin isotropy [-h] [--json] g m",
+        "fixed-point": "usage: hyperspin fixed-point [-h] [--json] g",
+        "verify": "usage: hyperspin verify [-h] [--max-g MAX_G] [--strict] [--json] [range]",
+    }
+    assert [(action.dest, action.help) for action in sub._choices_actions] == [
+        ("classify", "orbit class of a spin matrix"),
+        ("reduce", "reduction word and trace"),
+        ("orbits", "orbit census table"),
+        ("isotropy", "stabilizer report"),
+        ("fixed-point", "matrix fixed by every generator"),
+        ("verify", "run the verification suite"),
+    ]
 
 
 # Genera are drawn from 1..8 or above every ceiling, never in between, so

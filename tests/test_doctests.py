@@ -3,11 +3,13 @@
 import doctest
 import importlib
 import pkgutil
+import shlex
 from pathlib import Path
 
 import pytest
 
 import hyperspin
+from hyperspin import cli
 from hyperspin.cli import main
 
 MODULES = [
@@ -25,6 +27,17 @@ def test_module_doctests(module):
 def test_readme_examples():
     failures, attempted = doctest.testfile("../README.md")
     assert attempted > 0 and failures == 0
+
+
+def test_readme_command_lines_parse():
+    # parses each line of the "Command line" block and runs none of them
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert lines and all(words[0] == "hyperspin" for words in lines)
+    for words in lines:
+        args = cli._build_parser().parse_args(words[1:])
+        assert args.func is getattr(cli, "_cmd_" + words[1].replace("-", "_"))
 
 
 def test_readme_shell_transcript(capsys):
