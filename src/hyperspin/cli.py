@@ -11,7 +11,9 @@ verify [RANGE]             run the verification suite (default 3..8)
 
 ``--json`` switches any command to a structured dump.  ``verify`` accepts
 ``--max-g`` (enumeration ceiling; values above 12 act as 12) and
-``--strict`` (treat resource skips as failures).
+``--strict`` (treat resource skips as failures).  ``reduce --stats`` writes
+one stderr line, ``# stats: N steps, L letters; MOVE COUNT, ...`` with the
+moves in order of first use; stdout is the same with or without it.
 
 ``verify`` prints one row per check and genus, in this order, then one
 golden-traces row:
@@ -49,6 +51,7 @@ import os
 import random
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -197,6 +200,13 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     g = _parse_genus(args.g, minimum=3, maximum=MAX_SYMBOLIC_GENUS)
     matrix = _parse_matrix_arg(g, args.matrix)
     trace = reduce_to_canonical(matrix)
+    if args.stats:
+        moves = Counter(move for move, _, _ in trace.trail)  # in order of first use
+        letters = sum(len(word) for _, word, _ in trace.trail)
+        line = f"# stats: {len(trace.trail)} steps, {letters} letters"
+        if moves:
+            line += "; " + ", ".join(f"{move} {n}" for move, n in moves.items())
+        print(line, file=sys.stderr)
     if args.json:
         payload = {
             "g": g,
@@ -505,7 +515,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # in help order: name, handler, help, positionals, flags; each also takes --json.
 _SINGLE_GENUS_COMMANDS = (
     ("classify", _cmd_classify, "orbit class of a spin matrix", ("g", "matrix"), ()),
-    ("reduce", _cmd_reduce, "reduction word and trace", ("g", "matrix"), ("--trace",)),
+    ("reduce", _cmd_reduce, "reduction word and trace", ("g", "matrix"), ("--trace", "--stats")),
     ("orbits", _cmd_orbits, "orbit census table", ("g",), ()),
     ("isotropy", _cmd_isotropy, "stabilizer report", ("g", "m"), ()),
     ("fixed-point", _cmd_fixed_point, "matrix fixed by every generator", ("g",), ()),

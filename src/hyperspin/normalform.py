@@ -66,7 +66,9 @@ clears bottom bits, a loop pass zeroes its window and leaves the other
 columns alone, a drop clears one top bit, and a pack move shifts one
 column's bits to a column further left.  _pass checks both where the pass
 lands, and its callers rely on that.  reduce_to_canonical (and
-class_index) repeat passes until none applies.  class_table steps every
+class_index) repeat passes until none applies; when recording, _pass
+records each step as (move, word, packed key after it), and the trace
+builds a step's matrix only when its steps are read.  class_table steps every
 key but the canonical forms exactly once, every step under its guards,
 and takes the class of the lower key it lands on.  The 4^g - 3^g keys
 with a (0,1) column take clear-bottom-columns together, one letter of
@@ -183,17 +185,23 @@ class ReductionStep:
 class ReductionTrace:
     """A reduction of start onto canonical_form(g, class_index).
 
-    steps and total_word are empty unless the reduction was recorded;
-    result is the canonical form either way.
+    trail holds one (move, word, packed key after it) per recorded step and
+    is empty unless the reduction was recorded.  steps and total_word are
+    rebuilt from it on each access; result is the canonical form either way.
     """
 
     start: SpinMatrix
-    steps: tuple[ReductionStep, ...]
+    trail: tuple[tuple[str, Word, int], ...]
     class_index: int
 
     @property
+    def steps(self) -> tuple[ReductionStep, ...]:
+        g = self.start.g
+        return tuple(ReductionStep(m, w, SpinMatrix.from_key(g, key)) for m, w, key in self.trail)
+
+    @property
     def total_word(self) -> Word:
-        return tuple(i for step in self.steps for i in step.word)
+        return tuple(i for _, word, _ in self.trail for i in word)
 
     @property
     def result(self) -> SpinMatrix:
@@ -260,12 +268,13 @@ def _plan(g: int, top: int, bottom: int) -> list[tuple] | None:
     return [("pack-top-column", range(2 * s - 1, 2 * t, -2), t, s, 1, 0)]
 
 
-def _pass(g: int, key: int, steps: list[ReductionStep] | None) -> int | None:
+def _pass(g: int, key: int, trail: list[tuple[str, Word, int]] | None) -> int | None:
     """Apply the steps of _plan to the key under their guards; return the key.
 
     Each step must leave exactly the key it states, and the pass must land
     on a lower key with no (0,1) column, as the callers rely on.  None means
-    no pass applies; steps are appended to steps unless it is None.
+    no pass applies.  Unless trail is None, each step is appended to it as
+    (name, word, key after the step), with no matrix built.
     """
     plan = _plan(g, key & (1 << g) - 1, key >> g)
     if plan is None:
@@ -281,8 +290,8 @@ def _pass(g: int, key: int, steps: list[ReductionStep] | None) -> int | None:
                 f"{name} {format_word(word)} left {SpinMatrix.from_key(g, key)}, "
                 f"not {SpinMatrix.from_key(g, want)}"
             )
-        if steps is not None:
-            steps.append(ReductionStep(name, tuple(word), SpinMatrix.from_key(g, key)))
+        if trail is not None:
+            trail.append((name, tuple(word), key))
     if key >> g & ~key:
         left = SpinMatrix.from_key(g, key)
         raise SelfCheckError(f"a pass from key {start} left (0,1) columns: {left}")
@@ -316,11 +325,11 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
     g = matrix.g
     if g < 3:
         raise ValueError(f"reduction needs genus >= 3, got {g}")
-    steps: list[ReductionStep] | None = [] if record else None
+    trail: list[tuple[str, Word, int]] | None = [] if record else None
     key = matrix.key()
-    while (landed := _pass(g, key, steps)) is not None:
+    while (landed := _pass(g, key, trail)) is not None:
         key = landed
-    trace = ReductionTrace(matrix, tuple(steps or ()), _end_class(g, key))
+    trace = ReductionTrace(matrix, tuple(trail or ()), _end_class(g, key))
     if record and apply_word(matrix, trace.total_word) != trace.result:
         raise SelfCheckError("trace word does not replay to the final matrix")
     return trace

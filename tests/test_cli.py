@@ -126,6 +126,26 @@ def test_reduce_json_structure(capsys):
     assert payload["steps"][0]["move"] == "cancel-full-pair"
 
 
+@pytest.mark.parametrize(
+    "g, matrix, stats",
+    [
+        ("5", "11111/10111", "2 steps, 3 letters; cancel-full-pair 1, clear-bottom-columns 1"),
+        ("3", "111/101", "0 steps, 0 letters"),
+        (
+            "6",
+            "111111/101101",
+            "6 steps, 21 letters; cancel-full-pair 2, clear-bottom-columns 2, "
+            "cancel-top-pair 1, align-full-pair 1",
+        ),
+    ],
+)
+@pytest.mark.parametrize("mode", [(), ("--trace",), ("--json",)])
+def test_reduce_stats_writes_one_stderr_line_and_leaves_stdout(capsys, g, matrix, stats, mode):
+    code, out, err = run(capsys, "reduce", g, matrix, "--stats", *mode)
+    assert (code, err) == (EXIT_OK, f"# stats: {stats}\n")
+    assert run(capsys, "reduce", g, matrix, *mode) == (EXIT_OK, out, "")
+
+
 # ---------------------------------------------------------------------------
 # orbits / isotropy / fixed-point
 
@@ -602,7 +622,7 @@ def test_parser_pins_each_subcommand_usage_and_help():
     }
     assert usages == {
         "classify": "usage: hyperspin classify [-h] [--json] g matrix",
-        "reduce": "usage: hyperspin reduce [-h] [--trace] [--json] g matrix",
+        "reduce": "usage: hyperspin reduce [-h] [--trace] [--stats] [--json] g matrix",
         "orbits": "usage: hyperspin orbits [-h] [--json] g",
         "isotropy": "usage: hyperspin isotropy [-h] [--json] g m",
         "fixed-point": "usage: hyperspin fixed-point [-h] [--json] g",
@@ -629,7 +649,7 @@ _TOKENS = st.one_of(
 )
 _FLAGS = st.lists(
     st.one_of(
-        st.sampled_from(["--json", "--strict", "--trace"]),
+        st.sampled_from(["--json", "--strict", "--trace", "--stats"]),
         _TOKENS.map(lambda token: f"--max-g={token}"),
     ),
     max_size=3,

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,6 +304,54 @@ def test_a_long_reduction_past_64_columns_is_pinned():
     )
 
 
+def _seeded_matrices(g, count):
+    rng = random.Random(0)
+    return [SpinMatrix(g, rng.getrandbits(g), rng.getrandbits(g)) for _ in range(count)]
+
+
+def test_recording_builds_no_matrix_per_step(monkeypatch):
+    # a recorded step is (move, word, packed key); its matrix is built only
+    # when steps is read, once per step and again on every read
+    built = []
+    post_init = SpinMatrix.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    matrices = _seeded_matrices(64, 20)
+    lengths = [len(reduce_to_canonical(m).steps) for m in matrices]
+    short = matrices[lengths.index(min(lengths))]
+    long = matrices[lengths.index(max(lengths))]
+    assert min(lengths) < max(lengths)
+    monkeypatch.setattr(SpinMatrix, "__post_init__", counted)
+    costs, reads = [], []
+    for matrix in (short, long):
+        built.clear()
+        trace = reduce_to_canonical(matrix)
+        costs.append(len(built))
+        built.clear()
+        steps = trace.steps
+        reads.append((len(built), len(steps)))
+    assert costs[0] == costs[1] < 8
+    assert all(count == steps for count, steps in reads)
+    assert hash(trace) == hash(reduce_to_canonical(long))
+    assert trace == reduce_to_canonical(long)
+
+
+def test_held_recorded_reductions_stay_small():
+    # 200 recorded g = 64 reductions, about 30 steps each; a matrix and a
+    # ReductionStep per step would peak above 2 MB
+    matrices = _seeded_matrices(64, 200)
+    tracemalloc.start()
+    try:
+        held = [reduce_to_canonical(m) for m in matrices]
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 1.8
+
+
 # ---------------------------------------------------------------------------
 # reduction: soundness
 
@@ -448,13 +497,14 @@ def test_clear_bottom_pass_flips_each_lone_bottom_column_in_ascending_order(g):
         lone = [k for k, column in enumerate(zip(top_row, bottom_row), 1) if column == ("0", "1")]
         if not lone:
             continue
-        steps = []
-        landed = normalform._pass(g, matrix.key(), steps)
+        # the first pass from a key with a (0,1) column is clear-bottom-columns
+        trace = reduce_to_canonical(matrix)
         cleared = SpinMatrix(g, matrix.top, matrix.top & matrix.bottom)
+        (_, _, landed), *_ = trace.trail
         assert landed == cleared.key()
-        assert steps == [
-            normalform.ReductionStep("clear-bottom-columns", tuple(2 * k for k in lone), cleared)
-        ], str(matrix)
+        assert trace.steps[0] == normalform.ReductionStep(
+            "clear-bottom-columns", tuple(2 * k for k in lone), cleared
+        ), str(matrix)
 
 
 def _faulty_plan(letter, target):
