@@ -26,7 +26,6 @@ from .gf2 import (
     intersection,
 )
 from .normalform import (
-    ReductionStep,
     ReductionTrace,
     SelfCheckError,
     canonical_form,
@@ -55,7 +54,6 @@ __all__ = [
     "IsotropyReport",
     "OrbitPartition",
     "OrbitRecord",
-    "ReductionStep",
     "ReductionTrace",
     "SelfCheckError",
     "SpinMatrix",

@@ -201,9 +201,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     matrix = _parse_matrix_arg(g, args.matrix)
     trace = reduce_to_canonical(matrix)
     if args.stats:
-        moves = Counter(move for move, _, _ in trace.trail)  # in order of first use
-        letters = sum(len(word) for _, word, _ in trace.trail)
-        line = f"# stats: {len(trace.trail)} steps, {letters} letters"
+        moves = Counter(move for move, _, _ in trace.steps)  # in order of first use
+        letters = sum(len(word) for _, word, _ in trace.steps)
+        line = f"# stats: {len(trace.steps)} steps, {letters} letters"
         if moves:
             line += "; " + ", ".join(f"{move} {n}" for move, n in moves.items())
         print(line, file=sys.stderr)
@@ -215,15 +215,15 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             "final": str(trace.result),
             "word": list(trace.total_word),
             "steps": [
-                {"move": s.move, "word": list(s.word), "after": str(s.after)}
-                for s in trace.steps
+                {"move": move, "word": list(word), "after": str(SpinMatrix.from_key(g, key))}
+                for move, word, key in trace.steps
             ],
         }
         _emit(payload, True)
         return EXIT_OK
     if args.trace:
-        for step in trace.steps:
-            print(step.to_text())
+        for line in trace.lines():
+            print(line)
     _emit(
         {
             "class": trace.class_index,
@@ -475,11 +475,11 @@ def _check_golden_traces() -> tuple[str, str]:
         word = tuple(i for chunk, _ in chunks for i in chunk)
         if trace.total_word != word or trace.class_index != expected_class:
             return "FAIL", f"word differs for {text}"
-        boundaries = {str(s.after) for s in trace.steps}
+        boundaries = {key for _, _, key in trace.steps}
         state = matrix
         for chunk, after in chunks:
             state = apply_word(state, chunk)
-            if str(state) != after or after not in boundaries:
+            if str(state) != after or state.key() not in boundaries:
                 return "FAIL", f"intermediate {after} missing"
     return "PASS", "both reference reductions"
 

@@ -67,8 +67,8 @@ columns alone, a drop clears one top bit, and a pack move shifts one
 column's bits to a column further left.  _pass checks both where the pass
 lands, and its callers rely on that.  reduce_to_canonical (and
 class_index) repeat passes until none applies; when recording, _pass
-records each step as (move, word, packed key after it), and the trace
-builds a step's matrix only when its steps are read.  class_table steps every
+appends each step to the trace's steps as (move, word, packed key after
+it), and no matrix is built until lines() is called.  class_table steps every
 key but the canonical forms exactly once, every step under its guards,
 and takes the class of the lower key it lands on.  The 4^g - 3^g keys
 with a (0,1) column take clear-bottom-columns together, one letter of
@@ -77,7 +77,8 @@ post-state makes each land on a lower key, and _pass reports a failure.
 The 3^g keys whose bottom row lies within the top row take one scalar
 _pass each, in increasing key order, and land on lower keys of that kind.
 
-Trace serialization (one step per line): ``<moveName> <word> -> <matrix>``.
+Trace serialization (ReductionTrace.lines(), one step per line):
+``<moveName> <word> -> <matrix>``.
 """
 
 from __future__ import annotations
@@ -172,40 +173,33 @@ def fixed_point_matrix(g: int) -> SpinMatrix | None:
 
 
 @dataclass(frozen=True)
-class ReductionStep:
-    move: str
-    word: Word
-    after: SpinMatrix
-
-    def to_text(self) -> str:
-        return f"{self.move} {format_word(self.word)} -> {self.after}"
-
-
-@dataclass(frozen=True)
 class ReductionTrace:
     """A reduction of start onto canonical_form(g, class_index).
 
-    trail holds one (move, word, packed key after it) per recorded step and
-    is empty unless the reduction was recorded.  steps and total_word are
-    rebuilt from it on each access; result is the canonical form either way.
+    steps holds one (move, word, packed key after it) per recorded step and
+    is empty unless the reduction was recorded; result is the canonical form
+    either way.
     """
 
     start: SpinMatrix
-    trail: tuple[tuple[str, Word, int], ...]
+    steps: tuple[tuple[str, Word, int], ...]
     class_index: int
 
     @property
-    def steps(self) -> tuple[ReductionStep, ...]:
-        g = self.start.g
-        return tuple(ReductionStep(m, w, SpinMatrix.from_key(g, key)) for m, w, key in self.trail)
-
-    @property
     def total_word(self) -> Word:
-        return tuple(i for _, word, _ in self.trail for i in word)
+        return tuple(i for _, word, _ in self.steps for i in word)
 
     @property
     def result(self) -> SpinMatrix:
         return canonical_form(self.start.g, self.class_index)
+
+    def lines(self) -> list[str]:
+        """Each step as ``<move> <word> -> <matrix>``, its matrix built here."""
+        g = self.start.g
+        return [
+            f"{move} {format_word(word)} -> {SpinMatrix.from_key(g, key)}"
+            for move, word, key in self.steps
+        ]
 
 
 def _rightmost_equal_pair(top: int, bottom: int) -> tuple[int, int] | None:
@@ -268,12 +262,12 @@ def _plan(g: int, top: int, bottom: int) -> list[tuple] | None:
     return [("pack-top-column", range(2 * s - 1, 2 * t, -2), t, s, 1, 0)]
 
 
-def _pass(g: int, key: int, trail: list[tuple[str, Word, int]] | None) -> int | None:
+def _pass(g: int, key: int, steps: list[tuple[str, Word, int]] | None) -> int | None:
     """Apply the steps of _plan to the key under their guards; return the key.
 
     Each step must leave exactly the key it states, and the pass must land
     on a lower key with no (0,1) column, as the callers rely on.  None means
-    no pass applies.  Unless trail is None, each step is appended to it as
+    no pass applies.  Unless steps is None, each step is appended to it as
     (name, word, key after the step), with no matrix built.
     """
     plan = _plan(g, key & (1 << g) - 1, key >> g)
@@ -290,8 +284,8 @@ def _pass(g: int, key: int, trail: list[tuple[str, Word, int]] | None) -> int | 
                 f"{name} {format_word(word)} left {SpinMatrix.from_key(g, key)}, "
                 f"not {SpinMatrix.from_key(g, want)}"
             )
-        if trail is not None:
-            trail.append((name, tuple(word), key))
+        if steps is not None:
+            steps.append((name, tuple(word), key))
     if key >> g & ~key:
         left = SpinMatrix.from_key(g, key)
         raise SelfCheckError(f"a pass from key {start} left (0,1) columns: {left}")
@@ -302,10 +296,9 @@ def _pass(g: int, key: int, trail: list[tuple[str, Word, int]] | None) -> int | 
 
 def _end_class(g: int, key: int) -> int:
     """The class index m of a key no pass applies to; it must be canonical_form(g, m)."""
-    final = SpinMatrix.from_key(g, key)
-    m = (final.top.bit_count() + 1) // 2
-    if final != canonical_form(g, m):
-        raise SelfCheckError(f"landed on {final}, not the class-{m} form")
+    m = ((key & (1 << g) - 1).bit_count() + 1) // 2
+    if key != canonical_form(g, m).key():
+        raise SelfCheckError(f"landed on {SpinMatrix.from_key(g, key)}, not the class-{m} form")
     return m
 
 
@@ -325,11 +318,11 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
     g = matrix.g
     if g < 3:
         raise ValueError(f"reduction needs genus >= 3, got {g}")
-    trail: list[tuple[str, Word, int]] | None = [] if record else None
+    steps: list[tuple[str, Word, int]] | None = [] if record else None
     key = matrix.key()
-    while (landed := _pass(g, key, trail)) is not None:
+    while (landed := _pass(g, key, steps)) is not None:
         key = landed
-    trace = ReductionTrace(matrix, tuple(trail or ()), _end_class(g, key))
+    trace = ReductionTrace(matrix, tuple(steps or ()), _end_class(g, key))
     if record and apply_word(matrix, trace.total_word) != trace.result:
         raise SelfCheckError("trace word does not replay to the final matrix")
     return trace

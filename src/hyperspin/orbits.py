@@ -333,7 +333,6 @@ class OrbitRecord:
     size: int
     stabilizer_order: int
     arf: int
-    orbit_id: int
 
 
 def census(partition: OrbitPartition) -> tuple[OrbitRecord, ...]:
@@ -366,7 +365,7 @@ def census(partition: OrbitPartition) -> tuple[OrbitRecord, ...]:
         if rep_arf != m % 2:
             raise SelfCheckError(f"orbit {m} has Arf {rep_arf}")
         index = m if g >= 3 else None
-        records.append(OrbitRecord(index, size, group_order // size, rep_arf, orbit_id))
+        records.append(OrbitRecord(index, size, group_order // size, rep_arf))
     return tuple(records)
 
 

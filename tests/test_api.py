@@ -14,7 +14,6 @@ EXPORTED = [
     "IsotropyReport",
     "OrbitPartition",
     "OrbitRecord",
-    "ReductionStep",
     "ReductionTrace",
     "SelfCheckError",
     "SpinMatrix",
@@ -44,7 +43,7 @@ EXPORTED = [
 
 
 def test_exported_names_are_pinned():
-    assert len(EXPORTED) == 30
+    assert len(EXPORTED) == 29
     assert sorted(hyperspin.__all__) == sorted(EXPORTED)
     assert len(set(hyperspin.__all__)) == len(hyperspin.__all__)
 
@@ -71,17 +70,45 @@ def test_the_package_defines_two_exception_classes():
     assert hyperspin.SelfCheckError is hyperspin.orbits.SelfCheckError
 
 
+def _perfbench_module(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracer_names_resolve():
     # the benchmark's tracer wraps these functions by name and refuses to run
     # without one; tier-1 does not collect perfbench, so check them here
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _perfbench_module("tracing")
     for layer, (module_name, functions) in tracing.LAYERS.items():
         module = importlib.import_module(f"hyperspin.{module_name}")
         for name in functions:
             assert callable(getattr(module, name, None)), (layer, name)
+
+
+def test_benchmark_reads_results_as_it_expects(monkeypatch):
+    # the benchmark reduces with record=True and replays total_word, its
+    # tracer counts len(result.steps) and result.labels.size, and its tests
+    # rebuild a trace from (start, steps, class_index) with a wrong class
+    start = hyperspin.SpinMatrix.from_text("11111/10111")
+    trace = hyperspin.reduce_to_canonical(start, record=True)
+    built = []
+    post_init = hyperspin.SpinMatrix.__post_init__
+    monkeypatch.setattr(
+        hyperspin.SpinMatrix, "__post_init__", lambda self: built.append(self) or post_init(self)
+    )
+    assert len(trace.steps) == 2 and built == []
+    assert hyperspin.ReductionTrace(trace.start, trace.steps, trace.class_index) == trace
+    wrong = hyperspin.ReductionTrace(trace.start, trace.steps, trace.class_index + 1)
+    replayed = hyperspin.apply_word(start, wrong.total_word)
+    assert replayed == hyperspin.canonical_form(5, 2) != wrong.result
+    problem = _perfbench_module("checks").check_reduction(
+        str(start), wrong.class_index, str(wrong.result), str(replayed)
+    )
+    assert problem == "class 3, closed form says 2"
+    assert hyperspin.enumerate_orbits(3).labels.size == 64
 
 
 def test_every_imported_name_is_used():

@@ -174,7 +174,9 @@ def test_reduction_of_first_reference_matrix():
     trace = reduce_to_canonical(SpinMatrix.from_text("11111/10111"))
     assert trace.class_index == 2
     assert trace.total_word == (9, 8, 10)
-    assert [str(s.after) for s in trace.steps] == ["11100/10111", "11100/10100"]
+    assert [key for _, _, key in trace.steps] == [
+        SpinMatrix.from_text(text).key() for text in ("11100/10111", "11100/10100")
+    ]
     assert str(trace.result) == "11100/10100"
     assert trace.result == canonical_form(5, 2)
 
@@ -188,9 +190,9 @@ def test_reduction_of_second_reference_matrix():
         4, 6, 8, 10, 11, 9, 7, 5,
         3, 2, 4, 6, 8, 10, 12,
     )
-    boundaries = [str(s.after) for s in trace.steps]
+    boundaries = [key for _, _, key in trace.steps]
     for printed in ("110011/100001", "100001/100001", "110000/111111", "000000/000000"):
-        assert printed in boundaries
+        assert SpinMatrix.from_text(printed).key() in boundaries
     assert str(trace.result) == "000000/000000"
 
 
@@ -204,7 +206,7 @@ def test_unrecorded_trace_names_the_canonical_result():
 
 def test_reduction_trace_serialization():
     trace = reduce_to_canonical(SpinMatrix.from_text("11111/10111"))
-    assert [step.to_text() for step in trace.steps] == [
+    assert trace.lines() == [
         "cancel-full-pair 9 -> 11100/10111",
         "clear-bottom-columns 8,10 -> 11100/10100",
     ]
@@ -258,7 +260,7 @@ def test_reduction_guards_fire_on_a_flip_outside_the_window(
     monkeypatch, text, move, outside, row
 ):
     matrix = SpinMatrix.from_text(text)
-    assert reduce_to_canonical(matrix).steps[0].move == move
+    assert reduce_to_canonical(matrix).steps[0][0] == move
     act = normalform._act_letter
     flips = [1 << (outside - 1)]
 
@@ -288,8 +290,8 @@ def test_reduction_traces_are_pinned():
     for m in inputs:
         trace = reduce_to_canonical(m)
         digest.update(f"{m} {trace.class_index}\n".encode())
-        for step in trace.steps:
-            digest.update((step.to_text() + "\n").encode())
+        for line in trace.lines():
+            digest.update((line + "\n").encode())
     assert digest.hexdigest() == TRACE_DIGEST
 
 
@@ -310,8 +312,8 @@ def _seeded_matrices(g, count):
 
 
 def test_recording_builds_no_matrix_per_step(monkeypatch):
-    # a recorded step is (move, word, packed key); its matrix is built only
-    # when steps is read, once per step and again on every read
+    # a recorded step is (move, word, packed key): reading steps builds no
+    # matrix, and lines() builds one per step on every call
     built = []
     post_init = SpinMatrix.__post_init__
 
@@ -332,16 +334,18 @@ def test_recording_builds_no_matrix_per_step(monkeypatch):
         costs.append(len(built))
         built.clear()
         steps = trace.steps
+        reads.append((len(built), 0))
+        trace.lines()
         reads.append((len(built), len(steps)))
     assert costs[0] == costs[1] < 8
-    assert all(count == steps for count, steps in reads)
+    assert all(count == expected for count, expected in reads)
     assert hash(trace) == hash(reduce_to_canonical(long))
     assert trace == reduce_to_canonical(long)
 
 
 def test_held_recorded_reductions_stay_small():
     # 200 recorded g = 64 reductions, about 30 steps each; a matrix and a
-    # ReductionStep per step would peak above 2 MB
+    # step object per step would peak above 2 MB
     matrices = _seeded_matrices(64, 200)
     tracemalloc.start()
     try:
@@ -368,9 +372,9 @@ def test_reduction_steps_replay_prefixwise():
     m = SpinMatrix.from_text("111111/101101")
     trace = reduce_to_canonical(m)
     state = m
-    for step in trace.steps:
-        state = apply_word(state, step.word)
-        assert state == step.after
+    for _, word, key in trace.steps:
+        state = apply_word(state, word)
+        assert state.key() == key
 
 
 @settings(max_examples=400, deadline=None)
@@ -500,10 +504,8 @@ def test_clear_bottom_pass_flips_each_lone_bottom_column_in_ascending_order(g):
         # the first pass from a key with a (0,1) column is clear-bottom-columns
         trace = reduce_to_canonical(matrix)
         cleared = SpinMatrix(g, matrix.top, matrix.top & matrix.bottom)
-        (_, _, landed), *_ = trace.trail
-        assert landed == cleared.key()
-        assert trace.steps[0] == normalform.ReductionStep(
-            "clear-bottom-columns", tuple(2 * k for k in lone), cleared
+        assert trace.steps[0] == (
+            "clear-bottom-columns", tuple(2 * k for k in lone), cleared.key()
         ), str(matrix)
 
 
