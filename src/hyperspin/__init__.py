@@ -17,14 +17,7 @@ from .braid import (
     format_word,
     generator_class,
 )
-from .gf2 import (
-    HomologyClass,
-    SpinMatrix,
-    arf,
-    dehn_twist,
-    evaluate,
-    intersection,
-)
+from .gf2 import SpinMatrix, arf
 from .normalform import (
     ReductionTrace,
     SelfCheckError,
@@ -50,7 +43,6 @@ from .orbits import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "HomologyClass",
     "IsotropyReport",
     "OrbitPartition",
     "OrbitRecord",
@@ -64,15 +56,12 @@ __all__ = [
     "canonical_form",
     "census",
     "class_index",
-    "dehn_twist",
     "enumerate_orbits",
-    "evaluate",
     "fixed_matrices",
     "fixed_point_matrix",
     "flip_word",
     "format_word",
     "generator_class",
-    "intersection",
     "predicted_orbit_size",
     "predicted_stabilizer_order",
     "reduce_to_canonical",

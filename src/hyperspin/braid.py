@@ -23,9 +23,10 @@ the test suite; the reverse order does not reproduce them.
 
 Words print as comma-separated generator indices, e.g. ``8,10``.
 
-This module is the generator action and nothing else: the twist classes,
-the letter action on packed keys top | bottom << g (ints, or unsigned
-arrays of keys), words of letters and the flip word.  It holds no
+This module is the generator action and nothing else: the twist classes
+as packed class keys a | b << g, the letter action on packed keys
+top | bottom << g (ints, or unsigned arrays of keys), words of letters and
+the flip word.  It holds no
 permutations of the points; that the action factors through S_{2g+2} is
 checked through the Coxeter relations.
 """
@@ -35,26 +36,26 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .gf2 import HomologyClass, SpinMatrix
+from .gf2 import SpinMatrix
 
 Word = tuple[int, ...]
 
 
-def generator_class(i: int, g: int) -> HomologyClass:
-    """The basis curve that generator s_i twists about (table above).
+def generator_class(i: int, g: int) -> int:
+    """The basis curve that generator s_i twists about (table above), packed a | b << g.
 
-    >>> generator_class(3, 3)
-    HomologyClass(g=3, a=0, b=3)
+    >>> generator_class(3, 3)  # beta_1 + beta_2
+    24
     """
     if not 1 <= i <= 2 * g + 1:
         raise ValueError(f"generator index {i} out of range 1..{2 * g + 1}")
     if i == 1:
-        return HomologyClass(g, 0, 1)
+        return 1 << g
     if i == 2 * g + 1:
-        return HomologyClass(g, 0, 1 << (g - 1))
+        return 1 << (2 * g - 1)
     if i % 2 == 0:
-        return HomologyClass(g, 1 << (i // 2 - 1), 0)
-    return HomologyClass(g, 0, 3 << ((i - 1) // 2 - 1))
+        return 1 << (i // 2 - 1)
+    return 3 << (g + (i - 1) // 2 - 1)
 
 
 def _act_letter(g: int, key: int, i: int) -> int:

@@ -56,7 +56,7 @@ from collections import Counter
 import numpy as np
 
 from .braid import _act_letter, apply_generator, apply_word, format_word
-from .gf2 import HomologyClass, SpinMatrix, arf, evaluate, intersection
+from .gf2 import SpinMatrix, arf
 from .normalform import (
     SelfCheckError,
     class_index,
@@ -371,8 +371,10 @@ def _check_isotropy(g: int, partition) -> tuple[str, str]:
 
 def _check_relations(g: int) -> tuple[str, str]:
     """Involutions, Arf invariance, commutation, braid relations, each letter the twist
-    about its class, quadratic refinement; exhaustive for g <= 3.  All but the last
-    fold braid._act_letter over packed-key arrays."""
+    about its class, quadratic refinement; exhaustive for g <= 3.  Every check runs on
+    packed-key arrays: the letters fold braid._act_letter over them, and the refinement
+    c(v) = arf(v) + parity(v & m) of the drawn matrix m is checked against the pairing
+    x.y read from the words."""
     rng = random.Random(0xC0FFEE + g)
     n = 1 << (2 * g)
     generators = range(1, 2 * g + 2)
@@ -388,7 +390,6 @@ def _check_relations(g: int) -> tuple[str, str]:
         ((i, i + 1, i), (i + 1, i, i + 1), f"braid relation fails at {i}")
         for i in range(1, 2 * g + 1)
     ]
-    mask = (1 << g) - 1
 
     def act(keys: np.ndarray, word: tuple[int, ...]) -> np.ndarray:
         for i in word:
@@ -409,15 +410,15 @@ def _check_relations(g: int) -> tuple[str, str]:
     for i, gamma in zip(generators, _generator_keys(g)):
         if not np.array_equal(act(keys, (i,)), twist_keys(g, gamma, keys)):
             return "FAIL", f"generator {i} is not the twist about its class"
-    for _ in range(samples):
-        mk, xk, yk = (rng.randrange(n) for _ in range(3))
-        matrix = SpinMatrix.from_key(g, mk)
-        x = HomologyClass(g, xk & mask, xk >> g)
-        y = HomologyClass(g, yk & mask, yk >> g)
-        if evaluate(matrix, x + y) != (
-            evaluate(matrix, x) ^ evaluate(matrix, y) ^ intersection(x, y)
-        ):
-            return "FAIL", "quadratic refinement violated"
+    triples = [[rng.randrange(n) for _ in range(3)] for _ in range(samples)]
+    m, x, y = np.array(triples, dtype=np.uint32).T
+
+    def refinement(v: np.ndarray) -> np.ndarray:
+        return arf_keys(g, v) ^ np.bitwise_count(v & m) & 1
+
+    dot = np.bitwise_count(x & y >> g ^ x >> g & y) & 1
+    if not np.array_equal(refinement(x ^ y), refinement(x) ^ refinement(y) ^ dot):
+        return "FAIL", "quadratic refinement violated"
     cases = keys.size * len(generators) + head.size * len(relations) + samples
     return "PASS", f"{cases} cases"
 

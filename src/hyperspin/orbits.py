@@ -58,7 +58,8 @@ def twist_keys(g: int, gamma_key: int | np.ndarray, keys: np.ndarray) -> np.ndar
 
     c(gamma) is parity(key & gamma_key) + parity(a_gamma & b_gamma); where
     it is 0 the twist adds gamma's beta-word to the top row and its
-    alpha-word to the bottom row (see gf2.dehn_twist).  gamma_key may be a
+    alpha-word to the bottom row (the scalar reference, dehn_twist in
+    tests/oracles.py, states it on (a, b) words).  gamma_key may be a
     uint32 array of classes, which broadcasts against keys: keys[:, None]
     gives one column of images per class.
     """
@@ -71,8 +72,7 @@ def twist_keys(g: int, gamma_key: int | np.ndarray, keys: np.ndarray) -> np.ndar
 
 def _generator_keys(g: int) -> list[int]:
     """The classes of the generators s_1..s_{2g+1}, packed as keys."""
-    gammas = (generator_class(i, g) for i in range(1, 2 * g + 2))
-    return [gamma.a | gamma.b << g for gamma in gammas]
+    return [generator_class(i, g) for i in range(1, 2 * g + 2)]
 
 
 def _humphries_keys(g: int) -> list[int]:
@@ -88,8 +88,7 @@ def _humphries_keys(g: int) -> list[int]:
 def apply_generator_keys(g: int, i: int, keys: np.ndarray) -> np.ndarray:
     """Vectorized generator action: the twist about generator_class(i, g).
     No program caller; it stays only because perfbench/tracing.LAYERS wraps it."""
-    gamma = generator_class(i, g)
-    return twist_keys(g, gamma.a | gamma.b << g, keys)
+    return twist_keys(g, generator_class(i, g), keys)
 
 
 def arf_keys(g: int, keys: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from hyperspin import (
-    HomologyClass,
     SpinMatrix,
     apply_generator,
     apply_word,
@@ -24,10 +23,8 @@ from hyperspin import (
     census,
     class_index,
     enumerate_orbits,
-    evaluate,
     fixed_matrices,
     fixed_point_matrix,
-    intersection,
     predicted_orbit_size,
     predicted_stabilizer_order,
     reduce_to_canonical,
@@ -37,6 +34,7 @@ from hyperspin import (
 )
 from hyperspin.cli import main as cli_main
 from hyperspin.orbits import MAX_SP_GENUS
+from oracles import HomologyClass, evaluate, intersection
 from points import bubble_word, cycles, images_of_word
 
 _partitions: dict[int, object] = {}

@@ -10,7 +10,6 @@ from pathlib import Path
 import hyperspin
 
 EXPORTED = [
-    "HomologyClass",
     "IsotropyReport",
     "OrbitPartition",
     "OrbitRecord",
@@ -24,15 +23,12 @@ EXPORTED = [
     "canonical_form",
     "census",
     "class_index",
-    "dehn_twist",
     "enumerate_orbits",
-    "evaluate",
     "fixed_matrices",
     "fixed_point_matrix",
     "flip_word",
     "format_word",
     "generator_class",
-    "intersection",
     "predicted_orbit_size",
     "predicted_stabilizer_order",
     "reduce_to_canonical",
@@ -43,7 +39,7 @@ EXPORTED = [
 
 
 def test_exported_names_are_pinned():
-    assert len(EXPORTED) == 29
+    assert len(EXPORTED) == 25
     assert sorted(hyperspin.__all__) == sorted(EXPORTED)
     assert len(set(hyperspin.__all__)) == len(hyperspin.__all__)
 
@@ -164,21 +160,41 @@ def _hyperspin_imports(tree):
     return names
 
 
+# the scalar twist reference: the transvection formula on (a, b) words
+SCALAR_REFERENCE = {"HomologyClass", "intersection", "evaluate", "dehn_twist"}
+
+
 def test_the_oracles_stay_independent_of_the_program():
     # each file's docstring says what it shares with the program; the
-    # branch-subset classifier and the benchmark's checks share nothing
+    # scalar twist reference, the branch-subset classifier and the
+    # benchmark's checks share nothing
     root = Path(__file__).resolve().parents[1]
     oracles = ast.parse((root / "tests" / "oracles.py").read_text())
     shared = _hyperspin_imports(oracles)
     assert shared == {"SelfCheckError", "twist_keys"}
-    classifier = [
+    independent = SCALAR_REFERENCE | {"_parity", "weierstrass_subset", "weierstrass_class"}
+    definitions = [
         node
         for node in oracles.body
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("weierstrass_")
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in independent
     ]
-    assert len(classifier) == 2
-    for function in classifier:
-        used = {node.id for node in ast.walk(function) if isinstance(node, ast.Name)}
-        assert not used & shared, function.name
+    assert {node.name for node in definitions} == independent
+    for definition in definitions:
+        used = {node.id for node in ast.walk(definition) if isinstance(node, ast.Name)}
+        assert not used & shared, definition.name
     checks = ast.parse((root / "perfbench" / "checks.py").read_text())
     assert _hyperspin_imports(checks) == set()
+
+
+def test_the_scalar_twist_reference_is_test_only():
+    # the program twists packed keys only; no module defines or imports
+    # the reference, so it cannot become a second program path
+    for path in sorted(Path(hyperspin.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+        assert not names & SCALAR_REFERENCE, (path.name, sorted(names & SCALAR_REFERENCE))

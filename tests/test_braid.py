@@ -10,19 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperspin import (
-    HomologyClass,
     SpinMatrix,
     apply_generator,
     apply_word,
     arf,
-    dehn_twist,
     flip_word,
     format_word,
     generator_class,
 )
 from hyperspin.braid import _act_letter
 from hyperspin.orbits import _generator_keys, twist_keys
-from oracles import weierstrass_subset
+from oracles import HomologyClass, dehn_twist, weierstrass_subset
 from points import bubble_word, cycles, images_of_word
 
 
@@ -37,15 +35,20 @@ def every_matrix(g):
 
 def test_generator_labels_follow_the_twist_dictionary():
     g = 4
-    assert generator_class(1, g) == HomologyClass(g, 0, 0b0001)  # beta_1
-    assert generator_class(9, g) == HomologyClass(g, 0, 0b1000)  # beta_4
-    assert generator_class(2, g) == HomologyClass(g, 0b0001, 0)  # alpha_1
-    assert generator_class(4, g) == HomologyClass(g, 0b0010, 0)  # alpha_2
-    assert generator_class(6, g) == HomologyClass(g, 0b0100, 0)  # alpha_3
-    assert generator_class(8, g) == HomologyClass(g, 0b1000, 0)  # alpha_4
-    assert generator_class(3, g) == HomologyClass(g, 0, 0b0011)  # beta_1 + beta_2
-    assert generator_class(5, g) == HomologyClass(g, 0, 0b0110)  # beta_2 + beta_3
-    assert generator_class(7, g) == HomologyClass(g, 0, 0b1100)  # beta_3 + beta_4
+    assert generator_class(3, g) == 0b0011 << g
+
+    def unpacked(i):
+        return HomologyClass.from_key(g, generator_class(i, g))
+
+    assert unpacked(1) == HomologyClass(g, 0, 0b0001)  # beta_1
+    assert unpacked(9) == HomologyClass(g, 0, 0b1000)  # beta_4
+    assert unpacked(2) == HomologyClass(g, 0b0001, 0)  # alpha_1
+    assert unpacked(4) == HomologyClass(g, 0b0010, 0)  # alpha_2
+    assert unpacked(6) == HomologyClass(g, 0b0100, 0)  # alpha_3
+    assert unpacked(8) == HomologyClass(g, 0b1000, 0)  # alpha_4
+    assert unpacked(3) == HomologyClass(g, 0, 0b0011)  # beta_1 + beta_2
+    assert unpacked(5) == HomologyClass(g, 0, 0b0110)  # beta_2 + beta_3
+    assert unpacked(7) == HomologyClass(g, 0, 0b1100)  # beta_3 + beta_4
 
 
 def test_generator_index_range_is_enforced():
@@ -117,7 +120,8 @@ def test_action_agrees_with_twist_about_generator_class():
     for g in (1, 2, 3, 4):
         for m in every_matrix(g):
             for i in range(1, 2 * g + 2):
-                assert apply_generator(m, i) == dehn_twist(m, generator_class(i, g))
+                gamma = HomologyClass.from_key(g, generator_class(i, g))
+                assert apply_generator(m, i) == dehn_twist(m, gamma)
 
 
 def test_act_letter_runs_on_key_arrays():

@@ -466,7 +466,8 @@ def _swap12(g, key):
 
 
 # (name in cli, patch, the relations row's detail at g = 3, at g = 4); the
-# row folds cli._act_letter over packed-key arrays
+# row folds cli._act_letter over packed-key arrays and evaluates the
+# refinement through cli.arf_keys
 _RELATION_BREAKS = [
     (
         "_act_letter",
@@ -494,9 +495,11 @@ _RELATION_BREAKS = [
         "braid relation fails at 1",
         "braid relation fails at 1",
     ),
+    # an Arf of zeros passes the Arf-invariance check; only the refinement
+    # samples, arf(v) ^ parity(v & m) against the pairing, catch it
     (
-        "intersection",
-        lambda x, y: 0,
+        "arf_keys",
+        lambda g, keys: np.zeros(keys.shape, dtype=np.uint8),
         "quadratic refinement violated",
         "quadratic refinement violated",
     ),

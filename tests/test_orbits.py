@@ -38,8 +38,7 @@ from hyperspin.orbits import (
     twist_keys,
 )
 from hyperspin.braid import apply_generator
-from hyperspin.gf2 import HomologyClass, dehn_twist, intersection
-from oracles import bfs_partition
+from oracles import HomologyClass, bfs_partition, dehn_twist, evaluate, intersection
 
 
 @pytest.fixture(scope="module")
@@ -77,9 +76,8 @@ def test_vectorized_generator_action_matches_scalar():
 def test_vectorized_twist_matches_scalar():
     for g in (2, 3):
         keys = np.arange(1 << (2 * g), dtype=np.uint32)
-        mask = (1 << g) - 1
         for gamma_key in range(1 << (2 * g)):
-            gamma = HomologyClass(g, gamma_key & mask, gamma_key >> g)
+            gamma = HomologyClass.from_key(g, gamma_key)
             images = twist_keys(g, gamma_key, keys)
             assert images.dtype == np.uint32
             for key in range(1 << (2 * g)):
@@ -110,6 +108,27 @@ def test_vectorized_arf_matches_scalar():
     values = arf_keys(g, keys)
     for key in range(1 << (2 * g)):
         assert int(values[key]) == arf(SpinMatrix.from_key(g, key))
+
+
+def test_packed_refinement_is_the_scalar_evaluate():
+    # verify's relations row evaluates the refinement of matrix m on class x
+    # as arf_keys(g, x) ^ parity(x & m); every (m, x) at g <= 3, then
+    # 10^4 seeded draws over g = 4..12
+    cases = []
+    for g in (1, 2, 3):
+        n = 1 << (2 * g)
+        m, x = np.divmod(np.arange(n * n, dtype=np.uint32), np.uint32(n))
+        cases.append((g, m, x))
+    rng = np.random.default_rng(4)
+    for g in range(4, 13):
+        m, x = rng.integers(0, 1 << (2 * g), (2, 1112), dtype=np.uint32)
+        cases.append((g, m, x))
+    assert sum(m.size for g, m, x in cases if g >= 4) >= 10**4
+    for g, m, x in cases:
+        packed = arf_keys(g, x) ^ np.bitwise_count(x & m) & 1
+        for mk, xk, value in zip(m.tolist(), x.tolist(), packed.tolist()):
+            expected = evaluate(SpinMatrix.from_key(g, mk), HomologyClass.from_key(g, xk))
+            assert value == expected, (g, mk, xk)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +288,7 @@ def test_humphries_curves_are_a_chain_with_beta_2_on_s_4():
         assert len(keys) == (2 * g + 1 if g >= 2 else 2)
         if g < 2:
             continue
-        curves = [HomologyClass(g, key & ((1 << g) - 1), key >> g) for key in keys]
+        curves = [HomologyClass.from_key(g, key) for key in keys]
         edges = {
             (i, j)
             for j in range(len(curves))
