@@ -21,8 +21,7 @@ golden-traces row:
 orbit-count, orbit-sizes, arf-census  read the partition
 class-agreement                       g >= 3, reads the partition and a class
                                       table of every key; SKIP above g = 8
-fixed-point                           vectorized scan; above the cap fixing only,
-                                      at odd g alone: no matrix is fixed at even g
+fixed-point                           every genus; one GF(2) solve
 normal-forms                          g >= 3
 isotropy                              g >= 3; stabilizer orders up to the cap
 relations                             every genus; exhaustive for g <= 3
@@ -55,7 +54,7 @@ from collections import Counter
 
 import numpy as np
 
-from .braid import _act_letter, apply_generator, apply_word, format_word
+from .braid import _act_letter, apply_word, format_word
 from .gf2 import SpinMatrix, arf
 from .normalform import (
     SelfCheckError,
@@ -288,11 +287,11 @@ def _cmd_isotropy(args: argparse.Namespace) -> int:
 
 def _cmd_fixed_point(args: argparse.Namespace) -> int:
     g = _parse_genus(args.g, maximum=MAX_SYMBOLIC_GENUS)
+    status, detail = _check_fixed_point(g)  # detail: the closed form's matrix, or none
+    if status == "FAIL":
+        raise SelfCheckError(f"the fixed-point solve disagrees with the closed form {detail}")
     matrix = fixed_point_matrix(g)
-    if args.json:
-        print(json.dumps({"g": g, "fixed": str(matrix) if matrix else None}))
-    else:
-        print(str(matrix) if matrix else "none")
+    print(json.dumps({"g": g, "fixed": str(matrix) if matrix else None}) if args.json else detail)
     return EXIT_OK
 
 
@@ -343,15 +342,11 @@ def _check_class_agreement(g: int, partition) -> tuple[str, str]:
     return _verdict(bad is None, "exhaustive", f"disagrees at key {bad}")
 
 
-def _check_fixed_point(g: int, within_cap: bool) -> tuple[str, str]:
-    """Existence and uniqueness by vectorized scan up to the enumeration cap;
-    past it, where _verify_genus runs it at odd g only, that the expected matrix is fixed."""
+def _check_fixed_point(g: int) -> tuple[str, str]:
+    """The closed form against the fixed matrices the GF(2) solve finds, at every genus."""
     expected = fixed_point_matrix(g)
-    if within_cap:
-        ok = fixed_matrices(g) == ((expected,) if expected else ())
-        return _verdict(ok, str(expected) if expected else "none")
-    ok = all(apply_generator(expected, i) == expected for i in range(1, 2 * g + 2))
-    return _verdict(ok, f"{expected} (fixing only)")
+    ok = fixed_matrices(g) == ((expected,) if expected else ())
+    return _verdict(ok, str(expected) if expected else "none")
 
 
 def _check_normal_forms(g: int) -> tuple[str, str]:
@@ -458,8 +453,7 @@ def _verify_genus(g: int, cap: int) -> list[dict]:
     ]
     if g >= 3:
         results.append(("class-agreement", reads_partition(_check_class_agreement)))
-    if g <= cap or g % 2:
-        results.append(("fixed-point", _run_check(_check_fixed_point, g, g <= cap)))
+    results.append(("fixed-point", _run_check(_check_fixed_point, g)))
     if g >= 3:
         results.append(("normal-forms", _run_check(_check_normal_forms, g)))
         results.append(("isotropy", failure or _run_check(_check_isotropy, g, partition)))

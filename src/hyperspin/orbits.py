@@ -10,8 +10,8 @@ transvection orbits are closed the same way, under the twists about the
 2g+1 Humphries curves: these generate the mapping class group (Humphries
 1979; Farb and Margalit, A Primer on Mapping Class Groups, Sec. 4.4),
 which maps onto Sp(2g, Z/2) (Primer, Thm 6.4), so they have the orbits of
-all transvections.  Every bitset, the closure's and fixed_matrices', has
-one layout (_bitset) and one reader of its set keys (_set_keys).
+all transvections.  The closure's bitset has one layout (_bitset) and one
+reader of its set keys (_set_keys); fixed_matrices enumerates no keys.
 
 Determinism: orbits are seeded in increasing key order and labelled by
 their minimum packed key, so the partition, census and all derived tables
@@ -451,17 +451,25 @@ def sp_transvection_orbits(g: int) -> OrbitPartition:
 
 
 def fixed_matrices(g: int) -> tuple[SpinMatrix, ...]:
-    """All matrices fixed by every generator (exhaustive, bit-parallel).
+    """All matrices fixed by every generator, by one elimination over GF(2).
 
-    A twist moves every key it selects, so the fixed keys are those left
-    after clearing each move's dst & keep from a _bitset of all keys.
+    s_i fixes key k exactly when c(gamma_i) = 1 (twist_keys), that is when
+    parity(k & gamma_i) = 1 + parity(a_i & b_i): one row gamma_i << 1 | its
+    right side.  The 2g+1 rows must have rank 2g; one reduced to 0 = 1 leaves
+    no fixed matrix (at even g), else back-substitution reads off the one.
     """
-    _check_enumeration_genus(g)
-    bits = _bitset(g)
-    words = bits.reshape(-1)
-    words[:] = np.uint64((1 << min(1 << (2 * g), 64)) - 1)
+    if g < 1:
+        raise ValueError(f"genus must be >= 1, got {g}")
+    pivots: dict[int, int] = {}  # leading key bit -> its row; the right side is bit -1
     for gamma_key in _generator_keys(g):
-        for dst, _, keep in _twist_plan(g, gamma_key)[0]:
-            view = bits[dst]
-            view &= ~keep
-    return tuple(SpinMatrix.from_key(g, key) for key in _set_keys(words).tolist())
+        row = gamma_key << 1 | ((gamma_key >> g & gamma_key).bit_count() & 1 ^ 1)
+        while row and (lead := row.bit_length() - 2) in pivots:
+            row ^= pivots[lead]
+        if row:
+            pivots[lead] = row
+    if (rank := len(pivots) - (-1 in pivots)) != 2 * g:
+        raise SelfCheckError(f"the generator classes have rank {rank}, not {2 * g}")
+    key = 0
+    for bit in range(2 * g):  # a pivot row's other key bits lie below its own
+        key |= (((pivots[bit] >> 1 & key).bit_count() ^ pivots[bit]) & 1) << bit
+    return () if -1 in pivots else (SpinMatrix.from_key(g, key),)

@@ -24,6 +24,7 @@ from hyperspin import (
     canonical_form,
     cli,
     normalform,
+    orbits,
     predicted_stabilizer_order,
     sp_transvection_orbits,
 )
@@ -266,7 +267,7 @@ def test_verify_skips_above_ceiling(capsys):
     assert code == EXIT_OK
     assert "orbit-count\tSKIP" in out
     assert "normal-forms\tPASS" in out  # symbolic checks still run
-    assert "5\tfixed-point\tPASS\t11111/10101 (fixing only)" in out.splitlines()
+    assert "5\tfixed-point\tPASS\t11111/10101" in out.splitlines()
     assert "5\tisotropy\tPASS\tfixing sets only" in out.splitlines()
     assert "5\tsp-crosscheck\tSKIP\tenumeration capped at 4" in out.splitlines()
     # a --max-g above the hard ceiling of 12 acts as 12, and the notice says so
@@ -341,7 +342,7 @@ def _rows_digest(out):
         # every genus gate: g < 3, the sp-crosscheck ceiling, the enumeration cap
         (
             ["verify", "1..14", "--max-g", "4"],
-            "b6d5f994e81dd1da1d0ef29d103d18ef431625ca112c4971cd0cd436820b149f",
+            "344c3f704d582a309c6f441be0e5d6e134670a76eb4610d277e1e2a8c5dfe79b",
         ),
         # the exhaustive-reduction cap of class-agreement
         (["verify", "9"], "48b7b0044c2e71ec219b5dcaffd4571347c9caec637e9df9ddfe50ed5f546c43"),
@@ -349,10 +350,10 @@ def _rows_digest(out):
         (["verify"], VERIFY_DIGEST),
         # an even genus inside the enumeration cap and above the reduction cap
         (["verify", "10"], "a4c398f34024fde9deebcac66a03a2b47f19b0345b974ad14a02ffea31d1d94b"),
-        # the default cap's notice, and g = 14, which has no fixed-point row
+        # the default cap's notice, and fixed-point rows past it at odd and even g
         (
             ["verify", "13..14"],
-            "3cef3359c5620c32229fec2537de4c251cc7efcc194eedd441d2d65fecbd2655",
+            "728b5506bf7ffb1ce43731e7fdfdb14c8965f0e305e8f6f0f7a2261c64fd8efc",
         ),
     ],
 )
@@ -383,7 +384,7 @@ def test_verify_json_rows_match_the_text_rows(capsys):
         for row in rows
     ]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "b6d5f994e81dd1da1d0ef29d103d18ef431625ca112c4971cd0cd436820b149f"
+    assert digest == "344c3f704d582a309c6f441be0e5d6e134670a76eb4610d277e1e2a8c5dfe79b"
 
 
 def test_verify_self_check_failure_is_a_fail_row(capsys, monkeypatch):
@@ -565,17 +566,38 @@ def test_verify_golden_traces_names_the_first_mismatch(capsys, monkeypatch):
 
 def test_verify_fixed_point_fails_on_a_wrong_matrix(capsys, monkeypatch):
     monkeypatch.setattr(cli, "fixed_point_matrix", lambda g: canonical_form(g, 0))
-    # within the cap the scan finds 111/101, not the zero matrix
+    # the solve finds 111/101, not the zero matrix, within the cap and past it
     code, out, _ = run(capsys, "verify", "3")
     assert code == EXIT_CHECK_FAILED
     assert _row_of(out, 3, "fixed-point") == "3\tfixed-point\tFAIL\t000/000"
-    # past it the generators move the zero matrix
     zero = "0" * 13
     code, out, _ = run(capsys, "verify", "13")
     assert code == EXIT_CHECK_FAILED
-    assert _row_of(out, 13, "fixed-point") == (
-        f"13\tfixed-point\tFAIL\t{zero}/{zero} (fixing only)"
-    )
+    assert _row_of(out, 13, "fixed-point") == f"13\tfixed-point\tFAIL\t{zero}/{zero}"
+
+
+def test_verify_fixed_point_fails_when_the_classes_lose_rank(capsys, monkeypatch):
+    # s_2's class alpha_1 replaced by s_1's, beta_1: the 2g+1 equations have rank 2g - 1
+    keys = orbits._generator_keys
+    monkeypatch.setattr(orbits, "_generator_keys", lambda g: keys(g)[:1] * 2 + keys(g)[2:])
+    for g in (3, 13):
+        code, out, _ = run(capsys, "verify", str(g))
+        assert code == EXIT_CHECK_FAILED
+        assert _row_of(out, g, "fixed-point") == (
+            f"{g}\tfixed-point\tFAIL\tthe generator classes have rank {2 * g - 1}, not {2 * g}"
+        )
+
+
+def test_fixed_point_command_checks_the_solve(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "fixed_point_matrix", lambda g: canonical_form(g, 0))
+    for g in (5, 13):
+        code, out, err = run(capsys, "fixed-point", str(g))
+        assert (code, out) == (EXIT_CHECK_FAILED, "")
+        zero = "0" * g
+        assert err == (
+            "error: internal check failed: the fixed-point solve disagrees with "
+            f"the closed form {zero}/{zero}\n"
+        )
 
 
 def test_docstring_row_table_lists_the_rows_verify_prints(capsys):

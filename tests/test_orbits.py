@@ -37,7 +37,7 @@ from hyperspin.orbits import (
     first_disagreement,
     twist_keys,
 )
-from hyperspin.braid import apply_generator
+from hyperspin.braid import _act_letter, apply_generator
 from oracles import HomologyClass, bfs_partition, dehn_twist, evaluate, intersection
 
 
@@ -657,9 +657,19 @@ def test_fixed_matrices_match_an_exhaustive_twist_scan():
         assert fixed_matrices(g) == expected, g
 
 
-def test_fixed_matrices_span_several_blocks():
-    assert fixed_matrices(11) == (fixed_point_matrix(11),)
-    assert fixed_matrices(12) == ()
+def test_fixed_matrices_match_the_closed_form_past_the_cap():
+    for g in (11, 12, 13, 14, 50, 200, 1000):
+        expected = fixed_point_matrix(g)
+        fixed = fixed_matrices(g)
+        assert fixed == ((expected,) if expected else ()), g
+        for matrix in fixed:  # every letter fixes it, not only the twist condition
+            key = matrix.key()
+            assert all(_act_letter(g, key, i) == key for i in range(1, 2 * g + 2)), g
+
+
+def test_fixed_matrices_refuse_genus_zero():
+    with pytest.raises(ValueError, match="genus must be >= 1, got 0"):
+        fixed_matrices(0)
 
 
 def test_arf_check_reads_the_last_block(partition_11):
@@ -704,8 +714,8 @@ def _traced_peak_mb(func, *args) -> float:
 def test_key_passes_stream_in_blocks(partition_11):
     # All 2^22 keys at g = 11 would be 16 MB as uint32.
     assert _traced_peak_mb(fixed_matrices, 11) < 16
-    # the scan's one array is the 2 MB bitset of all 2^24 keys
-    assert _traced_peak_mb(fixed_matrices, 12) < 4
+    # the solve holds 2g+1 rows of ints and no array of keys
+    assert _traced_peak_mb(fixed_matrices, 12) < 0.1
     assert _traced_peak_mb(first_disagreement, partition_11, lambda k: arf_keys(11, k)) < 16
 
 
