@@ -7,16 +7,12 @@ matrices over Z/2 and verifies the resulting classification end to end:
 orbit counts and sizes, canonical and stabilizer-adapted normal forms,
 traced reductions, fixed points, exact stabilizer orders, and the
 cross-check against the full transvection action.
+
+Importing it loads no numpy.  The enumeration names live in hyperspin.orbits,
+which needs numpy and is imported on their first access; the rest never load it.
 """
 
-from .braid import (
-    Word,
-    apply_generator,
-    apply_word,
-    flip_word,
-    format_word,
-    generator_class,
-)
+from .braid import Word, apply_generator, apply_word, flip_word, format_word, generator_class
 from .gf2 import SpinMatrix, arf
 from .normalform import (
     ReductionTrace,
@@ -27,18 +23,19 @@ from .normalform import (
     reduce_to_canonical,
     stabilizer_form,
 )
-from .orbits import (
-    IsotropyReport,
-    OrbitPartition,
-    OrbitRecord,
-    census,
-    enumerate_orbits,
-    fixed_matrices,
-    predicted_orbit_size,
-    predicted_stabilizer_order,
-    sp_transvection_orbits,
-    verify_isotropy,
-)
+
+
+def __getattr__(name: str):
+    # an exported name not bound above is read afresh from orbits each time
+    if name in __all__:
+        from . import orbits
+        return getattr(orbits, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "1.0.0"
 

@@ -68,14 +68,14 @@ column's bits to a column further left.  _pass checks both where the pass
 lands, and its callers rely on that.  reduce_to_canonical (and
 class_index) repeat passes until none applies; when recording, _pass
 appends each step to the trace's steps as (move, word, packed key after
-it), and no matrix is built until lines() is called.  class_table steps every
-key but the canonical forms exactly once, every step under its guards,
-and takes the class of the lower key it lands on.  The 4^g - 3^g keys
-with a (0,1) column take clear-bottom-columns together, one letter of
-_plan's word at a time over an array of all the packed keys; its exact
-post-state makes each land on a lower key, and _pass reports a failure.
-The 3^g keys whose bottom row lies within the top row take one scalar
-_pass each, in increasing key order, and land on lower keys of that kind.
+it), and no matrix is built until lines() is called.  class_table (numpy loads
+on its first call) steps every key but the canonical forms exactly once, every
+step under its guards, and takes the class of the lower key it lands on.  The
+4^g - 3^g keys with a (0,1) column take clear-bottom-columns together, one
+letter of _plan's word at a time over an array of all the packed keys; its
+exact post-state makes each land on a lower key, and _pass reports a failure.
+The 3^g keys whose bottom row lies within the top row take one scalar _pass
+each, in increasing key order, and land on lower keys of that kind.
 
 Trace serialization (ReductionTrace.lines(), one step per line):
 ``<moveName> <word> -> <matrix>``.
@@ -84,8 +84,7 @@ Trace serialization (ReductionTrace.lines(), one step per line):
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import chain
 
 from .braid import Word, _act_letter, apply_word, format_word
 from .gf2 import SpinMatrix
@@ -187,7 +186,7 @@ class ReductionTrace:
 
     @property
     def total_word(self) -> Word:
-        return tuple(i for _, word, _ in self.steps for i in word)
+        return tuple(chain.from_iterable(word for _, word, _ in self.steps))
 
     @property
     def result(self) -> SpinMatrix:
@@ -328,7 +327,7 @@ def reduce_to_canonical(matrix: SpinMatrix, record: bool = True) -> ReductionTra
     return trace
 
 
-def _clear_bottom_keys(g: int) -> tuple[np.ndarray, np.ndarray]:
+def _clear_bottom_keys(g: int):
     """The key clear-bottom-columns leaves from every key, and where it applies.
 
     Returns (landed, lone) arrays indexed by key: landed holds keys in the
@@ -341,6 +340,8 @@ def _clear_bottom_keys(g: int) -> tuple[np.ndarray, np.ndarray]:
     _pass raises its SelfCheckError, or else one says the array and scalar
     steps disagree.
     """
+    import numpy as np
+
     mask = (1 << g) - 1
     keys = np.arange(1 << 2 * g, dtype=np.min_scalar_type((1 << 2 * g) - 1))
     landed = keys.copy()
@@ -372,6 +373,8 @@ def class_table(g: int) -> bytearray:
     """
     if g < 3:
         raise ValueError(f"reduction needs genus >= 3, got {g}")
+    import numpy as np
+
     landed, lone = _clear_bottom_keys(g)
     table = bytearray(1 << 2 * g)
     for key in np.flatnonzero(~lone).tolist():

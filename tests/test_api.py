@@ -4,10 +4,16 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import hyperspin
+from hyperspin import orbits
 
 EXPORTED = [
     "IsotropyReport",
@@ -48,6 +54,90 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from hyperspin import *", namespace)
     assert set(hyperspin.__all__) <= set(namespace)
+
+
+ORBIT_NAMES = [
+    "IsotropyReport",
+    "OrbitPartition",
+    "OrbitRecord",
+    "census",
+    "enumerate_orbits",
+    "fixed_matrices",
+    "predicted_orbit_size",
+    "predicted_stabilizer_order",
+    "sp_transvection_orbits",
+    "verify_isotropy",
+]
+
+
+def test_orbit_names_are_read_from_orbits_on_each_access(monkeypatch):
+    # the package resolves them lazily and binds none of them, so a patch
+    # of hyperspin.orbits shows through the package name at once
+    assert set(ORBIT_NAMES) <= set(EXPORTED)
+    for name in ORBIT_NAMES:
+        assert getattr(hyperspin, name) is getattr(orbits, name), name
+        assert name not in vars(hyperspin), name
+    sentinel = object()
+    monkeypatch.setattr(orbits, "census", sentinel)
+    assert hyperspin.census is sentinel
+    assert set(hyperspin.__all__) <= set(dir(hyperspin))
+
+
+def test_unknown_package_names_fail_as_missing():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hyperspin.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from hyperspin import no_such_name", {})
+    # a submodule the package has not bound still imports by name
+    namespace = {}
+    exec("from hyperspin import cli", namespace)
+    assert namespace["cli"] is importlib.import_module("hyperspin.cli")
+
+
+def test_the_tracer_leaves_no_wrapper_on_the_package_names():
+    tracing = _perfbench_module("tracing")
+    tracer = tracing.Tracer().install()
+    try:
+        assert hasattr(hyperspin.enumerate_orbits, "__wrapped__")
+    finally:
+        tracer.uninstall()
+    assert not hasattr(hyperspin.enumerate_orbits, "__wrapped__")
+    assert hyperspin.enumerate_orbits is orbits.enumerate_orbits
+
+
+SYMBOLIC_PATH = """
+import random, sys
+import hyperspin as hs
+
+rng = random.Random(38)
+g = 64
+matrix = hs.SpinMatrix(g, rng.getrandbits(g), rng.getrandbits(g))
+trace = hs.reduce_to_canonical(matrix, record=True)
+assert len(trace.lines()) == len(trace.steps) > 0
+assert hs.apply_word(matrix, trace.total_word) == trace.result
+assert hs.class_index(matrix) == trace.class_index
+m = trace.class_index
+assert hs.canonical_form(g, m) == trace.result
+assert hs.arf(hs.stabilizer_form(g, m)) == hs.arf(trace.result) == m % 2
+assert hs.fixed_point_matrix(g) is None and hs.fixed_point_matrix(g + 1) is not None
+assert hs.arf(hs.apply_word(matrix, hs.flip_word(g))) == hs.arf(matrix)
+assert "numpy" not in sys.modules, "the symbolic path loaded numpy"
+assert hs.enumerate_orbits(3).sizes() == {0: 35, 9: 28, 47: 1}
+assert "numpy" in sys.modules
+"""
+
+
+def test_the_symbolic_path_loads_no_numpy():
+    # a fresh interpreter, since this one has loaded numpy already
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", SYMBOLIC_PATH],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_the_package_defines_two_exception_classes():
