@@ -24,15 +24,16 @@ the test suite; the reverse order does not reproduce them.
 Words print as comma-separated generator indices, e.g. ``8,10``.
 
 This module is the generator action and nothing else: the twist classes
-as packed class keys a | b << g, the letter action on packed keys
-top | bottom << g (ints, or unsigned arrays of keys), words of letters and
-the flip word.  It holds no
+as packed class keys a | b << g, the letter table _letters(g), whose
+entry i acts as s_i on packed keys top | bottom << g (ints, or unsigned
+arrays of keys), words of letters and the flip word.  It holds no
 permutations of the points; that the action factors through S_{2g+2} is
 checked through the Coxeter relations.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -58,20 +59,28 @@ def generator_class(i: int, g: int) -> int:
     return 3 << (g + (i - 1) // 2 - 1)
 
 
-def _act_letter(g: int, key: int, i: int) -> int:
-    """Apply s_i to packed keys top | bottom << g, ints or unsigned arrays.
+@lru_cache(maxsize=8)
+def _letters(g: int) -> tuple:
+    """The letters at genus g: entry i is s_i on packed keys top | bottom << g.
 
-    An array keeps its dtype.  No range check; callers validate.
+    Each entry takes ints or unsigned arrays of keys, and an array keeps its
+    dtype.  Its shift amounts are bound as int defaults, so it decides no
+    case per call.  Entry 0 is None.  The entries check no range; callers
+    validate i before they index the table.
     """
-    if i == 1:
-        return key ^ (key >> g & 1 ^ 1)
-    if i == 2 * g + 1:
-        return key ^ (key >> 2 * g - 1 & 1 ^ 1) << g - 1
-    if i % 2 == 0:
-        t = i // 2 - 1
-        return key ^ (key >> t & 1 ^ 1) << g + t
-    t = g + (i - 1) // 2 - 1  # bottom bit of c(beta_j)
-    return key ^ ((key >> t ^ key >> t + 1) & 1 ^ 1) * 3 << t - g
+    g = int(g)  # numpy shift amounts overflow on keys wider than 64 bits
+    letters = [None, lambda key, g=g: key ^ (key >> g & 1 ^ 1)]
+    for i in range(2, 2 * g + 1):
+        if i % 2 == 0:
+            t = i // 2 - 1
+            letters.append(lambda key, t=t, u=g + t: key ^ (key >> t & 1 ^ 1) << u)
+        else:
+            t = g + (i - 1) // 2 - 1  # bottom bit of c(beta_j)
+            letters.append(
+                lambda key, t=t, u=t + 1, v=t - g: key ^ ((key >> t ^ key >> u) & 1 ^ 1) * 3 << v
+            )
+    letters.append(lambda key, t=2 * g - 1, u=g - 1: key ^ (key >> t & 1 ^ 1) << u)
+    return tuple(letters)
 
 
 def apply_generator(matrix: SpinMatrix, i: int) -> SpinMatrix:
@@ -82,18 +91,23 @@ def apply_generator(matrix: SpinMatrix, i: int) -> SpinMatrix:
     """
     if not 1 <= i <= 2 * matrix.g + 1:
         raise ValueError(f"generator index {i} out of range 1..{2 * matrix.g + 1}")
-    return SpinMatrix.from_key(matrix.g, _act_letter(matrix.g, matrix.key(), i))
+    return SpinMatrix.from_key(matrix.g, _letters(matrix.g)[i](matrix.key()))
 
 
 def apply_word(matrix: SpinMatrix, word: Iterable[int]) -> SpinMatrix:
-    """Fold apply_generator over the word, left to right."""
+    """Apply the word's letters left to right on the packed key.
+
+    Each letter is an entry of the letter table; no matrix is built until
+    the last letter has acted.
+    """
     g = matrix.g
     key = matrix.key()
+    letters = _letters(g)
     limit = 2 * g + 1
     for i in word:
         if not 1 <= i <= limit:
             raise ValueError(f"generator index {i} out of range 1..{limit}")
-        key = _act_letter(g, key, i)
+        key = letters[i](key)
     return SpinMatrix.from_key(g, key)
 
 

@@ -54,7 +54,7 @@ from collections import Counter
 
 import numpy as np
 
-from .braid import _act_letter, apply_word, format_word
+from .braid import _letters, apply_word, format_word
 from .gf2 import SpinMatrix, arf
 from .normalform import (
     SelfCheckError,
@@ -89,8 +89,9 @@ _REDUCE_CAP = 8  # class-agreement classifies every key up to this genus
 # The greatest genus classify, reduce, isotropy and fixed-point accept.
 # Their work grows with the genus without bound: a reduction takes
 # quadratically many letters, and flip_word(g) streams (g+1)(2g+1) of them.
-# At 1000, isotropy 1000 0 and the slowest reductions found take about 2 s
-# and at most about 90 MB.
+# At 1000, isotropy 1000 0 and the slowest reductions found take under 1 s
+# and at most about 90 MB as a whole process (wall time and maxrss, median
+# of 5 on a 2-vCPU x86-64 host: 0.7 s and 30 MB, 0.6 s and 90 MB).
 MAX_SYMBOLIC_GENUS = 1000
 
 # Reference traces used by the golden-trace check: input, step words, and
@@ -367,7 +368,7 @@ def _check_isotropy(g: int, partition) -> tuple[str, str]:
 def _check_relations(g: int) -> tuple[str, str]:
     """Involutions, Arf invariance, commutation, braid relations, each letter the twist
     about its class, quadratic refinement; exhaustive for g <= 3.  Every check runs on
-    packed-key arrays: the letters fold braid._act_letter over them, and the refinement
+    packed-key arrays: the letters fold braid._letters(g) over them, and the refinement
     c(v) = arf(v) + parity(v & m) of the drawn matrix m is checked against the pairing
     x.y read from the words."""
     rng = random.Random(0xC0FFEE + g)
@@ -386,9 +387,11 @@ def _check_relations(g: int) -> tuple[str, str]:
         for i in range(1, 2 * g + 1)
     ]
 
+    letters = _letters(g)
+
     def act(keys: np.ndarray, word: tuple[int, ...]) -> np.ndarray:
         for i in word:
-            keys = _act_letter(g, keys, i)
+            keys = letters[i](keys)
         return keys
 
     invariant = arf_keys(g, keys)

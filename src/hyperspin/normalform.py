@@ -86,7 +86,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .braid import Word, _act_letter, apply_word, format_word
+from .braid import Word, _letters, apply_word, format_word
 from .gf2 import SpinMatrix
 
 
@@ -273,11 +273,12 @@ def _pass(g: int, key: int, steps: list[tuple[str, Word, int]] | None) -> int | 
     if plan is None:
         return None
     start = key
+    letters = _letters(g)
     for name, word, lo, hi, t, b in plan:
         window = (1 << hi) - (1 << lo - 1)
         want = key & ~(window | window << g) | (t | b << g) << lo - 1
         for i in word:
-            key = _act_letter(g, key, i)
+            key = letters[i](key)
         if key != want:
             raise SelfCheckError(
                 f"{name} {format_word(word)} left {SpinMatrix.from_key(g, key)}, "
@@ -346,8 +347,9 @@ def _clear_bottom_keys(g: int):
     keys = np.arange(1 << 2 * g, dtype=np.min_scalar_type((1 << 2 * g) - 1))
     landed = keys.copy()
     [(_, word, *_)] = _plan(g, 0, mask)
+    letters = _letters(g)
     for k, i in enumerate(word):
-        np.copyto(landed, _act_letter(g, landed, i), where=(landed >> g & ~landed & 1 << k) != 0)
+        np.copyto(landed, letters[i](landed), where=(landed >> g & ~landed & 1 << k) != 0)
     wrong = landed != keys & (keys << g | mask)
     if wrong.any():
         key = int(wrong.argmax())

@@ -4,10 +4,10 @@ partition and a branch-subset classifier.
 HomologyClass, intersection, evaluate and dehn_twist are the scalar twist
 reference: the transvection formula on a class's (a, b) words, with bit k-1
 of a the coefficient of alpha_k and bit k-1 of b that of beta_k.  The
-program twists only by braid._act_letter and orbits.twist_keys on packed
-keys; the tests check both, and apply_generator, against dehn_twist, and
-the relations row's packed refinement against evaluate.  A matrix here is
-anything with the fields g, top and bottom.
+program twists only by the entries of braid._letters and orbits.twist_keys
+on packed keys; the tests check both, and apply_generator, against
+dehn_twist, and the relations row's packed refinement against evaluate.  A
+matrix here is anything with the fields g, top and bottom.
 
 bfs_partition shares no code with the bitset sweeps of the closure behind
 enumerate_orbits and sp_transvection_orbits, which compile each class into

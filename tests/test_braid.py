@@ -18,7 +18,7 @@ from hyperspin import (
     format_word,
     generator_class,
 )
-from hyperspin.braid import _act_letter
+from hyperspin.braid import _letters
 from hyperspin.orbits import _generator_keys, twist_keys
 from oracles import HomologyClass, dehn_twist, weierstrass_subset
 from points import bubble_word, cycles, images_of_word
@@ -53,10 +53,13 @@ def test_generator_labels_follow_the_twist_dictionary():
 
 def test_generator_index_range_is_enforced():
     m = SpinMatrix(3, 0, 0)
-    with pytest.raises(ValueError):
-        apply_generator(m, 0)
-    with pytest.raises(ValueError):
-        apply_generator(m, 8)
+    # the letter table is a tuple, which would wrap a negative index and
+    # read entry 0 as None: the range check stands in front of it
+    for i in (0, 8, -1, -7):
+        with pytest.raises(ValueError, match=f"generator index {i} out of range 1..7"):
+            apply_generator(m, i)
+        with pytest.raises(ValueError, match=f"generator index {i} out of range 1..7"):
+            apply_word(m, (1, 2, i))
     with pytest.raises(ValueError):
         apply_word(m, (1, 2, 9))
     with pytest.raises(ValueError):
@@ -124,7 +127,31 @@ def test_action_agrees_with_twist_about_generator_class():
                 assert apply_generator(m, i) == dehn_twist(m, gamma)
 
 
-def test_act_letter_runs_on_key_arrays():
+def test_letter_table_twists_about_each_generator_class_at_large_genus():
+    # every entry of the table against the scalar twist reference, on seeded
+    # keys and the two extreme keys of 2g bits
+    rng = random.Random(39)
+    for g in (64, 1000):
+        letters = _letters(g)
+        assert len(letters) == 2 * g + 2 and letters[0] is None
+        assert _letters(g) is letters
+        keys = [0, (1 << 2 * g) - 1, *(rng.getrandbits(2 * g) for _ in range(6))]
+        for i in range(1, 2 * g + 2):
+            gamma = HomologyClass.from_key(g, generator_class(i, g))
+            for key in keys:
+                image = dehn_twist(SpinMatrix.from_key(g, key), gamma)
+                assert letters[i](key) == image.key(), (g, i, key)
+    # a numpy genus builds its entries from the int: numpy shift amounts
+    # would overflow on the 128-bit keys of genus 64
+    letters = _letters(np.int64(64))
+    assert all(type(n) is int for letter in letters[1:] for n in letter.__defaults__)
+    for key in (rng.getrandbits(128) | 1 << 127 for _ in range(4)):
+        for i in range(1, 130):
+            gamma = HomologyClass.from_key(64, generator_class(i, 64))
+            assert letters[i](key) == dehn_twist(SpinMatrix.from_key(64, key), gamma).key()
+
+
+def test_letters_run_on_key_arrays():
     # every key for g <= 8, seeded keys at the largest verify genera
     rng = random.Random(14)
     cases = [(g, np.arange(1 << (2 * g), dtype=np.uint32)) for g in range(1, 9)]
@@ -139,11 +166,11 @@ def test_act_letter_runs_on_key_arrays():
             # so the class table's key arrays are never upcast
             for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
                 if np.iinfo(dtype).bits >= 2 * g:
-                    acted = _act_letter(g, keys.astype(dtype), i)
+                    acted = _letters(g)[i](keys.astype(dtype))
                     assert acted.dtype == dtype, (g, i, dtype)
                     assert np.array_equal(acted, images), (g, i, dtype)
             # object arrays run the scalar kernel on each key's Python int
-            assert _act_letter(g, keys.astype(object), i).tolist() == images.tolist(), (g, i)
+            assert _letters(g)[i](keys.astype(object)).tolist() == images.tolist(), (g, i)
 
 
 def test_letters_swap_their_points_in_the_branch_subset():
@@ -160,7 +187,7 @@ def test_letters_swap_their_points_in_the_branch_subset():
                 swapped = subset ^ differ * 3 << (i - 1)
                 if swapped & 1:
                     swapped ^= full
-                image = _act_letter(g, key, i)
+                image = _letters(g)[i](key)
                 assert weierstrass_subset(g, image & mask, image >> g) == swapped, (g, key, i)
 
 

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from hyperspin import (
     SpinMatrix,
-    braid,
     canonical_form,
     cli,
     normalform,
@@ -37,6 +36,7 @@ from hyperspin.cli import (
     main,
 )
 from hyperspin.orbits import OrbitPartition, SelfCheckError
+from faults import act, letter_table
 
 
 def run(capsys, *argv):
@@ -467,32 +467,33 @@ def _swap12(g, key):
 
 
 # (name in cli, patch, the relations row's detail at g = 3, at g = 4); the
-# row folds cli._act_letter over packed-key arrays and evaluates the
-# refinement through cli.arf_keys
+# row folds the letters of cli._letters over packed-key arrays and evaluates
+# the refinement through cli.arf_keys.  A letter mutant (g, key, i) -> key
+# is patched in as a letter table
 _RELATION_BREAKS = [
     (
-        "_act_letter",
-        lambda g, key, i: key >> g << g | (key + 1) % (1 << g),
+        "_letters",
+        letter_table(lambda g, key, i: key >> g << g | (key + 1) % (1 << g)),
         "generator 1 not an involution",
         "generator 1 not an involution",
     ),
     (
-        "_act_letter",
-        lambda g, key, i: key ^ 1,
+        "_letters",
+        letter_table(lambda g, key, i: key ^ 1),
         "generator 1 changes Arf",
         "generator 1 changes Arf",
     ),
     # s_3 acting as s_2: still an involution that keeps the Arf
     (
-        "_act_letter",
-        lambda g, key, i: braid._act_letter(g, key, 2 if i == 3 else i),
+        "_letters",
+        letter_table(lambda g, key, i: act(g, key, 2 if i == 3 else i)),
         "1,3 do not commute",
         "3,1 do not commute",
     ),
     # s_1 acting as the identity commutes with every letter
     (
-        "_act_letter",
-        lambda g, key, i: key if i == 1 else braid._act_letter(g, key, i),
+        "_letters",
+        letter_table(lambda g, key, i: key if i == 1 else act(g, key, i)),
         "braid relation fails at 1",
         "braid relation fails at 1",
     ),
@@ -507,8 +508,8 @@ _RELATION_BREAKS = [
     # every letter conjugated by the swap of columns 1 and 2: involutions that
     # keep the Arf and satisfy every relation, but s_1 twists about beta_2
     (
-        "_act_letter",
-        lambda g, key, i: _swap12(g, braid._act_letter(g, _swap12(g, key), i)),
+        "_letters",
+        letter_table(lambda g, key, i: _swap12(g, act(g, _swap12(g, key), i))),
         "generator 1 is not the twist about its class",
         "generator 1 is not the twist about its class",
     ),
@@ -516,8 +517,8 @@ _RELATION_BREAKS = [
     # first draws after its 64th key: the involution check reads all 256 keys,
     # not only the 64 the relations use
     (
-        "_act_letter",
-        lambda g, key, i: key ^ (i == 5) * (key == 137),
+        "_letters",
+        letter_table(lambda g, key, i: key ^ (i == 5) * (key == 137)),
         None,
         "generator 5 not an involution",
     ),

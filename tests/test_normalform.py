@@ -25,6 +25,7 @@ from hyperspin import (
     stabilizer_form,
 )
 from hyperspin.orbits import apply_generator_keys
+from faults import act, letter_table
 from oracles import weierstrass_class, weierstrass_subset
 
 
@@ -226,7 +227,7 @@ def test_reduction_rejects_small_genus():
 
 
 def test_reduction_guards_fire_when_a_letter_does_nothing(monkeypatch):
-    monkeypatch.setattr(normalform, "_act_letter", lambda g, key, i: key)
+    monkeypatch.setattr(normalform, "_letters", letter_table(lambda g, key, i: key))
     message = "cancel-full-pair 9 left 11111/10111, not 11100/10111"
     with pytest.raises(SelfCheckError, match=f"^{message}$"):
         reduce_to_canonical(SpinMatrix.from_text("11111/10111"))
@@ -261,14 +262,13 @@ def test_reduction_guards_fire_on_a_flip_outside_the_window(
 ):
     matrix = SpinMatrix.from_text(text)
     assert reduce_to_canonical(matrix).steps[0][0] == move
-    act = normalform._act_letter
     flips = [1 << (outside - 1)]
 
     def act_and_flip_once(g, key, i):
         flip = flips.pop() if flips else 0
         return act(g, key, i) ^ (flip if row == "top" else flip << g)
 
-    monkeypatch.setattr(normalform, "_act_letter", act_and_flip_once)
+    monkeypatch.setattr(normalform, "_letters", letter_table(act_and_flip_once))
     with pytest.raises(SelfCheckError, match=f"^{move} "):
         reduce_to_canonical(matrix)
 
@@ -559,10 +559,9 @@ def test_reduce_raises_when_the_trace_word_does_not_replay(monkeypatch):
 
 def test_class_table_raises_on_a_faulty_action(monkeypatch):
     # every letter but s_1 acts as the identity, so some guarded pass must fail
-    act = normalform._act_letter
     monkeypatch.setattr(
-        normalform, "_act_letter",
-        lambda g, key, i: act(g, key, i) if i == 1 else key,
+        normalform, "_letters",
+        letter_table(lambda g, key, i: act(g, key, i) if i == 1 else key),
     )
     with pytest.raises(SelfCheckError):
         normalform.class_table(5)
@@ -596,7 +595,7 @@ def test_class_table_names_the_least_key_a_faulty_clear_bottom_letter_leaves(
 ):
     # the least key with column 2 at (0,1) keeps it, or goes to (1,1), a
     # higher key: the exact post-state catches both, with the scalar message
-    monkeypatch.setattr(normalform, "_act_letter", functools.partial(fault, normalform._act_letter))
+    monkeypatch.setattr(normalform, "_letters", letter_table(functools.partial(fault, act)))
     with pytest.raises(SelfCheckError, match=f"^clear-bottom-columns 4 left {left}$"):
         normalform.class_table(g)
 
@@ -604,12 +603,10 @@ def test_class_table_names_the_least_key_a_faulty_clear_bottom_letter_leaves(
 def test_class_table_raises_when_the_array_and_scalar_steps_disagree(monkeypatch):
     # s_4 is the identity on key arrays only, so the scalar pass of the least
     # failing key succeeds and the array step must raise on its own
-    act = normalform._act_letter
-
     def array_fault(g, key, i):
         return key if i == 4 and isinstance(key, np.ndarray) else act(g, key, i)
 
-    monkeypatch.setattr(normalform, "_act_letter", array_fault)
+    monkeypatch.setattr(normalform, "_letters", letter_table(array_fault))
     with pytest.raises(
         SelfCheckError, match="^the array and scalar clear-bottom steps disagree at key 16$"
     ):
