@@ -205,15 +205,21 @@ def _rightmost_equal_pair(top: int, bottom: int) -> tuple[int, int] | None:
     """Rightmost adjacent equal pair among the nonzero columns: (pos, pos').
 
     bottom must lie within top, so the nonzero columns are the set bits of
-    top and each one's pattern is its bottom bit.
+    top and each one's pattern is its bottom bit.  A carry added at the bit
+    above each column with bottom bit 1 runs through the gaps (~top) to the
+    next nonzero column and sets it, so ones marks the nonzero columns whose
+    left neighbour has bottom bit 1; every column but the first pairs with
+    that neighbour where its own bottom bit agrees.  So a few big-int
+    operations find the pair, where a walk (tests/oracles.py) takes one
+    per column.
     """
-    i = top.bit_length()
-    while i and (below := top & (1 << i - 1) - 1):
-        s = below.bit_length()
-        if not (bottom >> s - 1 ^ bottom >> i - 1) & 1:
-            return s, i
-        i = s
-    return None
+    gaps = ~top
+    ones = gaps + (bottom << 1) ^ gaps
+    equal = top & top - 1 & ~(bottom ^ ones)
+    if not equal:
+        return None
+    i = equal.bit_length()
+    return (top & (1 << i - 1) - 1).bit_length(), i
 
 
 def _plan(g: int, top: int, bottom: int) -> list[tuple] | None:

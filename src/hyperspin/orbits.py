@@ -13,6 +13,13 @@ which maps onto Sp(2g, Z/2) (Primer, Thm 6.4), so they have the orbits of
 all transvections.  The closure's bitset has one layout (_bitset) and one
 reader of its set keys (_set_keys); fixed_matrices enumerates no keys.
 
+Threads: at the ceiling a sweep runs each family's twists that keep key
+bit 2g-1 on the two halves of the bitset at once, one half on the calling
+thread and one on a single worker thread, started by the first such sweep
+(_sweep_halves) and again in a forked child.  numpy releases the GIL in its loops, so this halves a
+sweep on two cores; a one-CPU host gets no gain.  Below 2^24 keys
+everything runs on the calling thread.
+
 Determinism: orbits are seeded in increasing key order and labelled by
 their minimum packed key, so the partition, census and all derived tables
 are bit-reproducible.  Each orbit's minimum key is its canonical form: the
@@ -24,16 +31,18 @@ used for them.
 Memory: a partition is a uint8 map of orbit ordinals, 16 MB at g = 12;
 4-byte minimum-key labels are derived only when asked for.  The closure
 adds a 2 MB bitset, a 2 MB snapshot of it taken before each sweep, and a
-sweep's temporaries, about 4 MB at g = 12; a level twists fewer than
-2^(2g-11) keys, so its images and their words stay below 1 and 2 MB.  The
-passes over all keys walk them in blocks of 2^20 keys, so `verify 9..12`
-peaks at about 60 MB.
+sweep's temporaries, about 4 MB at g = 12 with both halves' at once; a
+level twists fewer than 2^(2g-11) keys, so its images and their words stay
+below 1 and 2 MB.  The passes over all keys walk them in blocks of 2^20
+keys, so `verify 9..12` peaks at about 60 MB (ru_maxrss of the process).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +54,7 @@ from .normalform import SelfCheckError, canonical_form, stabilizer_form
 MAX_ENUMERATION_GENUS = 12
 MAX_SP_GENUS = 6
 _KEY_BLOCK = 1 << 20  # keys per block in the passes over all keys
+_HALVED_KEYS = 1 << 24  # a closure over this many keys sweeps its bitset in halves
 _LOW_HALVES = [np.uint64(sum(1 << b for b in range(64) if not b >> j & 1)) for j in range(6)]
 
 
@@ -133,26 +143,33 @@ def _set_keys(words: np.ndarray) -> np.ndarray:
     return (at[pos >> 6] << 6 | pos & 63).astype(np.uint32)
 
 
-def _twist_plan(g: int, gamma_key: int):
-    """The twist about a class with a & b = 0 as (moves, swaps) on a _bitset.
+def _twist_plan(g: int, gamma_key: int, width: int | None = None, offset: int = 0):
+    """The twist about a class with a & b = 0 as (moves, swaps) on a part of a _bitset.
 
-    A _bitset has an axis of length 2 per key bit from bit 6 up (2g-1 first)
-    and a last axis of length 1, so fixing every other axis leaves a view.
-    For a & b = 0 (other classes raise ValueError): the twist moves the keys
-    whose condition bits (gamma_key) have even parity and flips the disjoint
-    bits b | a << g, as bits[dst] |= swapped(bits[src] & keep) for each move.
-    A condition bit fixes its axis, one move per value, or is in the word
-    mask keep; a flipped bit reverses its axis in src, or is a delta swap.
+    The part holds the keys below bit width (2g, the whole bitset, by
+    default) with every key bit above it fixed, and offset is the parity of
+    the condition bits (gamma_key) among those fixed bits.  A part has an
+    axis of length 2 per key bit from bit 6 up (width-1 first) and a last
+    axis of length 1, so fixing every other axis leaves a view.  For a & b =
+    0 (other classes raise ValueError, as do twists that flip a fixed bit):
+    the twist moves the keys whose condition bits have even parity and flips
+    the disjoint bits b | a << g, as bits[dst] |= swapped(bits[src] & keep)
+    for each move.  A condition bit below width fixes its axis, one move per
+    value, or is in the word mask keep; a flipped bit reverses its axis in
+    src, or is a delta swap.
     """
     if gamma_key >> g & gamma_key:
         raise ValueError(f"twist plan needs a & b = 0; got class key {gamma_key}")
+    width = 2 * g if width is None else width
     delta = gamma_key >> g | (gamma_key & ((1 << g) - 1)) << g
-    axis = {b: 2 * g - 1 - b for b in range(6, 2 * g)}
+    if delta >> width:
+        raise ValueError(f"the twist about class key {gamma_key} flips a key bit outside the part")
+    axis = {b: width - 1 - b for b in range(6, width)}
     cond = [b for b in axis if gamma_key >> b & 1]
     moves = []
     for values in itertools.product((0, 1), repeat=len(cond)):
         # the positions in a word where all condition bits have even parity
-        odd = sum(values) & 1
+        odd = (sum(values) + offset) & 1
         keep = sum(1 << b for b in range(64) if (b & gamma_key).bit_count() & 1 == odd)
         dst = [slice(None)] * (len(axis) + 1)
         src = [slice(None, None, -1) if delta >> b & 1 else slice(None) for b in reversed(axis)]
@@ -177,6 +194,53 @@ def _sweep(bits: np.ndarray, plans) -> None:
                 moved |= high
             view = bits[dst]
             view |= moved
+
+
+def _halved_plans(g: int, family) -> tuple[list, tuple[list, list]]:
+    """A family's plans for _sweep_halves: (whole, (low, high)).
+
+    whole twists the classes that flip key bit 2g-1 (alpha_g in the class)
+    on the whole _bitset; low and high twist the others on its halves, the
+    keys with bit 2g-1 at 0 and at 1, which such a twist maps to themselves.
+    In the high half a class with bit 2g-1 as a condition bit has offset 1.
+    """
+    top = 2 * g - 1
+    whole = [_twist_plan(g, k) for k in family if k >> g - 1 & 1]
+    halves = tuple(
+        [_twist_plan(g, k, top, half & k >> top) for k in family if not k >> g - 1 & 1]
+        for half in (0, 1)
+    )
+    return whole, halves
+
+
+@functools.cache
+def _worker():
+    """The one thread that sweeps the high halves, started on first use."""
+    from concurrent.futures import ThreadPoolExecutor  # only a g = 12 closure needs it
+
+    return ThreadPoolExecutor(1, thread_name_prefix="hyperspin-sweep")
+
+
+# A forked child has no worker thread, so it must start its own.
+os.register_at_fork(after_in_child=_worker.cache_clear)
+
+
+def _sweep_halves(bits: np.ndarray, families) -> None:
+    """_sweep of each family's plans, from _halved_plans, in turn.
+
+    The twists of a family commute, so their order does not change the
+    bitset: first the whole-bitset ones, then the low half's on this thread
+    while _worker sweeps the high half.  numpy drops the GIL in its loops,
+    so the halves run on two cores; both end before the next family starts,
+    and an error in either is raised here.
+    """
+    for whole, (low, high) in families:
+        _sweep(bits, whole)
+        high_half = _worker().submit(_sweep, bits[1], high)
+        try:
+            _sweep(bits[0], low)
+        finally:
+            high_half.result()
 
 
 def _closure_partition(g: int, classes) -> tuple[np.ndarray, dict[int, int]]:
@@ -206,14 +270,18 @@ def _closure_partition(g: int, classes) -> tuple[np.ndarray, dict[int, int]]:
     acts on a superset of the S the sweep started from, so every key of
     that S now has all its twists in S, and the frontier is the keys the
     sweep added, read off a snapshot of S by _set_keys; fewer than n >> 11
-    of them go back to levels.
+    of them go back to levels.  At n = 2^24 a sweep is _sweep_halves, which
+    leaves the same S on two threads.
 
     Every orbit's ordinal is then OR-ed into the map in key blocks.
     """
-    sweep = [_twist_plan(g, gamma_key) for gamma_key in classes]
-    sweep = sweep[1::2] + sweep[0::2]  # evens s_2, s_4, .., then odds s_1, s_3, ..
+    families = (classes[1::2], classes[0::2])  # evens s_2, s_4, .., then odds s_1, s_3, ..
     gammas = np.array(classes, dtype=np.uint32)
     n = 1 << (2 * g)
+    if n < _HALVED_KEYS:
+        sweep, plans = _sweep, [_twist_plan(g, k) for family in families for k in family]
+    else:
+        sweep, plans = _sweep_halves, [_halved_plans(g, family) for family in families]
     small = n >> 11  # a frontier below this many keys is twisted as a level
     ordinals = np.zeros(n, dtype=np.uint8)
     bits = _bitset(g)
@@ -249,7 +317,7 @@ def _closure_partition(g: int, classes) -> tuple[np.ndarray, dict[int, int]]:
                 added = frontier.size
             else:
                 np.copyto(before, words)
-                _sweep(bits, sweep)
+                sweep(bits, plans)
                 before ^= words  # the keys the sweep added
                 added = int(np.bitwise_count(before).sum())
                 if added < small:

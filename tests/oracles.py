@@ -1,5 +1,5 @@
 """The tests' oracles: the scalar twist reference, a breadth-first orbit
-partition and a branch-subset classifier.
+partition, a branch-subset classifier and the reducer's column walk.
 
 HomologyClass, intersection, evaluate and dehn_twist are the scalar twist
 reference: the transvection formula on a class's (a, b) words, with bit k-1
@@ -18,9 +18,12 @@ calls it one class at a time, a level for all classes at once.  So its
 independence rests on twist_keys, which tests/test_orbits.py checks
 against dehn_twist.
 
-The scalar reference, weierstrass_subset and weierstrass_class share no
-code with the program: they use nothing imported from hyperspin
-(tests/test_api.py checks this).  On a hyperelliptic curve the spin structures are the subsets T of the
+rightmost_equal_pair walks the nonzero columns from the right, one big-int
+operation per column, where normalform._rightmost_equal_pair adds carries.
+
+The scalar reference, weierstrass_subset, weierstrass_class and
+rightmost_equal_pair share no code with the program: they use nothing
+imported from hyperspin (tests/test_api.py checks this).  On a hyperelliptic curve the spin structures are the subsets T of the
 2g+2 branch points with |T| = g+1 (mod 2), up to complement (Johnson,
 "Spin structures and quadratic forms on surfaces", 1980).
 """
@@ -159,3 +162,18 @@ def weierstrass_subset(g, top, bottom):
 def weierstrass_class(g, top, bottom):
     """The class index m = |g + 1 - |T|| / 2 of the matrix (top, bottom)."""
     return abs(g + 1 - weierstrass_subset(g, top, bottom).bit_count()) // 2
+
+
+def rightmost_equal_pair(top, bottom):
+    """The rightmost adjacent pair of nonzero columns with equal bottom bits.
+
+    Columns are 1-based bit positions; bottom lies within top, so the
+    nonzero columns are top's set bits.  Returns (pos, pos') or None.
+    """
+    i = top.bit_length()
+    while i and (below := top & (1 << i - 1) - 1):
+        s = below.bit_length()
+        if not (bottom >> s - 1 ^ bottom >> i - 1) & 1:
+            return s, i
+        i = s
+    return None

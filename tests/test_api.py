@@ -256,13 +256,15 @@ SCALAR_REFERENCE = {"HomologyClass", "intersection", "evaluate", "dehn_twist"}
 
 def test_the_oracles_stay_independent_of_the_program():
     # each file's docstring says what it shares with the program; the
-    # scalar twist reference, the branch-subset classifier and the
-    # benchmark's checks share nothing
+    # scalar twist reference, the branch-subset classifier, the column walk
+    # and the benchmark's checks share nothing
     root = Path(__file__).resolve().parents[1]
     oracles = ast.parse((root / "tests" / "oracles.py").read_text())
     shared = _hyperspin_imports(oracles)
     assert shared == {"SelfCheckError", "twist_keys"}
-    independent = SCALAR_REFERENCE | {"_parity", "weierstrass_subset", "weierstrass_class"}
+    independent = SCALAR_REFERENCE | {
+        "_parity", "weierstrass_subset", "weierstrass_class", "rightmost_equal_pair"
+    }
     definitions = [
         node
         for node in oracles.body

@@ -26,7 +26,7 @@ from hyperspin import (
 )
 from hyperspin.orbits import apply_generator_keys
 from faults import act, letter_table
-from oracles import weierstrass_class, weierstrass_subset
+from oracles import rightmost_equal_pair, weierstrass_class, weierstrass_subset
 
 
 def every_matrix(g):
@@ -638,17 +638,41 @@ def _column_list_equal_pair(top, bottom):
 
 @pytest.mark.parametrize("g", range(1, 9))
 def test_rightmost_equal_pair_agrees_with_the_column_list_scan(g):
+    # the program's carries and the oracle's walk
     checked = 0
     for top in range(1 << g):
         bottom = top
         while True:  # every bottom within top, top itself first
             expected = _column_list_equal_pair(top, bottom)
             assert normalform._rightmost_equal_pair(top, bottom) == expected, (top, bottom)
+            assert rightmost_equal_pair(top, bottom) == expected, (top, bottom)
             checked += 1
             if not bottom:
                 break
             bottom = bottom - 1 & top
     assert checked == 3**g
+
+
+@pytest.mark.parametrize("g", [64, 200, 1000])
+def test_rightmost_equal_pair_carries_agree_with_the_walk_at_large_genus(g):
+    # uniform pairs end their walk within a few columns, so most pairs are
+    # long alternating runs, each with at most one bit of either row flipped
+    rng = random.Random(g)
+    full, alternating = (1 << g) - 1, ((1 << g) - 1) // 3  # g even: bottom 1,0,...,1,0
+    assert normalform._rightmost_equal_pair(full, alternating) is None
+    for n in range(300):
+        top, bottom = full, alternating
+        if n % 3 == 0:
+            top = rng.getrandbits(g)
+            bottom = rng.getrandbits(g) & top
+        elif n % 3 == 1:
+            top ^= 1 << rng.randrange(g)
+            bottom &= top
+        else:
+            bottom ^= 1 << rng.randrange(g)
+        assert normalform._rightmost_equal_pair(top, bottom) == rightmost_equal_pair(
+            top, bottom
+        ), (g, n)
 
 
 def test_docstring_move_table_lists_the_moves_the_passes_make():

@@ -3,7 +3,10 @@
 import dataclasses
 import hashlib
 import math
+import os
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,9 +31,13 @@ from hyperspin.orbits import (
     MAX_SP_GENUS,
     OrbitPartition,
     SelfCheckError,
+    _bitset,
     _closure_partition,
     _generator_keys,
+    _halved_plans,
     _humphries_keys,
+    _sweep,
+    _sweep_halves,
     _twist_plan,
     apply_generator_keys,
     arf_keys,
@@ -404,6 +411,93 @@ def test_sweeps_hand_small_frontiers_back_to_levels(monkeypatch):
         a == "sweep" and b == "level" and all(int(words[k >> 6]) >> (k & 63) & 1 for k in keys)
         for (a, words), (b, keys) in steps
     )
+
+
+def _random_bitset(g, rng, ands):
+    """A _bitset with each key set with probability 2^-ands, or 3 keys if ands is None."""
+    bits = _bitset(g)
+    words = bits.reshape(-1)
+    if ands is None:
+        for key in rng.integers(0, 1 << 2 * g, 3).tolist():
+            words[key >> 6] |= np.uint64(1 << (key & 63))
+        return bits
+    words[:] = ~np.uint64(0)
+    for _ in range(ands):
+        words &= rng.integers(0, 1 << 64, words.size, dtype=np.uint64)
+    return bits
+
+
+@pytest.mark.parametrize("g", [4, 5, 6, 7, 8, 9, 12])
+def test_a_halved_sweep_leaves_the_bitset_a_sweep_leaves(g):
+    # the whole-bitset twists (s_2g) and the halves' offsets (s_2g-1,
+    # s_2g+1) all show: a wrong offset or a twist on the wrong half leaves
+    # another bitset; each family alone, then both as the closure runs them
+    rng = np.random.default_rng(g)
+    for classes in (_generator_keys(g), _humphries_keys(g)):
+        families = [classes[1::2], classes[0::2]]
+        for family_set in ([families[0]], [families[1]], families):
+            plans = [_twist_plan(g, k) for family in family_set for k in family]
+            halved = [_halved_plans(g, family) for family in family_set]
+            for ands in (None, 4, 1):  # 3 keys, then 1/16 and 1/2 of all
+                expected = _random_bitset(g, rng, ands)
+                got = expected.copy()
+                _sweep(expected, plans)
+                _sweep_halves(got, halved)
+                assert np.array_equal(got, expected), (g, family_set, ands)
+                if ands is None:  # the sweep added keys and did not fill the bitset
+                    assert 3 < np.bitwise_count(got).sum() < 1 << 2 * g, (g, family_set)
+
+
+def test_the_twist_plan_is_the_full_width_part_plan():
+    for g in range(1, 10):
+        for gamma_key in set(_generator_keys(g) + _humphries_keys(g)):
+            assert _twist_plan(g, gamma_key) == _twist_plan(g, gamma_key, 2 * g, 0), g
+
+
+def test_a_part_plan_refuses_a_twist_that_leaves_the_part():
+    # s_2g = alpha_g flips key bit 2g-1, so it moves keys between the halves
+    g = 6
+    s_2g = _generator_keys(g)[2 * g - 1]
+    assert _halved_plans(g, [s_2g])[0] == [_twist_plan(g, s_2g)]
+    with pytest.raises(ValueError, match="flips a key bit"):
+        _twist_plan(g, s_2g, 2 * g - 1, 0)
+
+
+def test_an_error_in_the_worker_half_reaches_the_caller(monkeypatch):
+    main = threading.get_ident()
+
+    def failing_sweep(bits, plans):
+        if threading.get_ident() != main:
+            raise RuntimeError("the high half failed")
+        _sweep(bits, plans)
+
+    monkeypatch.setattr(orbits, "_sweep", failing_sweep)
+    with pytest.raises(RuntimeError, match="the high half failed"):
+        enumerate_orbits(12)
+
+
+def test_the_ceiling_closure_starts_at_most_one_thread():
+    before = threading.active_count()
+    for _ in range(2):
+        enumerate_orbits(12)
+    assert threading.active_count() <= before + 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_worker():
+    # the parent's worker thread does not survive a fork: a child that kept
+    # its executor would queue the high half and wait on it forever
+    assert orbits._worker().submit(int, 7).result() == 7  # the thread is running
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = orbits._worker().submit(int, 7).result(timeout=10) != 7
+        finally:
+            os._exit(code)
+    assert os.waitpid(pid, 0)[1] == 0
 
 
 def test_small_genera_skip_the_frontier_phase(monkeypatch):
